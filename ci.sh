@@ -66,6 +66,9 @@ sys.exit(1 if failed else 0)
 EOF
 rm -f "$hotpath_out"
 
+step "cliff guard (every exact mode x tree; no doubling of 100k..800k refs may cost more than 3x)"
+cargo run -q --release -p parda-bench --bin cliff_guard
+
 step "approx accuracy smoke (1M refs; MAE must hold the committed ceilings)"
 approx_out=$(mktemp)
 cargo run -q --release -p parda-bench --bin sampling_accuracy -- \

@@ -29,7 +29,6 @@ use std::time::{Duration, Instant};
 pub const SWITCHES: &[&str] = &[
     "json",
     "stream",
-    "renumber",
     "stats",
     "verify",
     "mrc",
@@ -69,7 +68,7 @@ commands:
              [--approx[=<spec>]]  (constant-space approximate analysis;
                           spec is exact | shards:<rate> | shards-smax:<n>
                           | aet[:<rate>], default shards:0.01)
-             phased:  [--chunk <C>] [--renumber]
+             phased:  [--chunk <C>]
              sampled: [--rate <k>]   (legacy spatial sampling at rate 2^-k;
                           prefer --approx=shards:<rate>)
   mrc      print the miss ratio curve of a trace
@@ -390,11 +389,7 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         || (version == 2 && line_bits == 0 && (engine == "phased" || args.get("engine").is_none()));
 
     let chunk: usize = args.get_parsed("chunk", 65_536)?;
-    let reduction = if args.has("renumber") {
-        Reduction::RenumberRanks
-    } else {
-        Reduction::ShipToRankZero
-    };
+    let reduction = Reduction::ShipToRankZero;
 
     let builder = Analysis::new()
         .tree(tree)

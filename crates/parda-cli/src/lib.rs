@@ -277,13 +277,7 @@ mod tests {
             vec!["--engine", "seq", "--tree", "vector"],
             vec!["--engine", "phased", "--chunk", "1000", "--ranks", "3"],
             vec![
-                "--engine",
-                "phased",
-                "--chunk",
-                "1000",
-                "--ranks",
-                "3",
-                "--renumber",
+                "--engine", "phased", "--chunk", "1000", "--ranks", "3", "--tree", "vector",
             ],
             vec!["--engine", "parda", "--ranks", "2", "--tree", "avl"],
         ] {

@@ -81,8 +81,8 @@ pub enum Mode {
     Phased {
         /// References per rank per phase (`C`).
         chunk: usize,
-        /// State-reduction strategy (Algorithm 6 or the renumbering
-        /// enhancement).
+        /// State-reduction strategy (Algorithm 6); there is only one,
+        /// see [`Reduction`].
         reduction: Reduction,
     },
     /// §VII: spatial-sampling approximation at rate `2^-rate_log2`.
@@ -111,13 +111,6 @@ impl Mode {
         match self {
             Mode::Phased { chunk, .. } => *chunk,
             _ => 65_536,
-        }
-    }
-
-    fn reduction(&self) -> Reduction {
-        match self {
-            Mode::Phased { reduction, .. } => *reduction,
-            _ => Reduction::ShipToRankZero,
         }
     }
 }
@@ -312,9 +305,9 @@ impl Analysis {
     /// Analyze an address stream with the streaming multi-phase engine
     /// (the only engine that does not need the whole trace in memory).
     ///
-    /// [`Mode::Phased`] supplies the phase chunk size and reduction
-    /// strategy; any other mode streams with the defaults (`C = 65536`,
-    /// ship-to-rank-zero) and is reported as `phased-stream`.
+    /// [`Mode::Phased`] supplies the phase chunk size; any other mode
+    /// streams with the default `C = 65536` and is reported as
+    /// `phased-stream`.
     pub fn run_stream<S>(&self, source: S) -> (ReuseHistogram, Option<Report>)
     where
         S: AddressStream + Send,
@@ -325,12 +318,7 @@ impl Analysis {
         let config = self.config();
         let sw = Stopwatch::start();
         let (hist, per_rank, phased) = dispatch_tree!(self.tree, T, {
-            crate::phased::parda_phased_with_stats::<T, S>(
-                source,
-                self.mode.phase_chunk(),
-                &config,
-                self.mode.reduction(),
-            )
+            crate::phased::parda_phased_with_stats::<T, S>(source, self.mode.phase_chunk(), &config)
         });
         let refs = per_rank.iter().map(|r| r.refs).sum();
         let total_ns = sw.ns();
@@ -527,12 +515,11 @@ impl Analysis {
                 let (hist, ranks) = crate::parallel::parda_msg_with_stats::<T>(trace, config);
                 (hist, ranks, None)
             }
-            Mode::Phased { chunk, reduction } => {
+            Mode::Phased { chunk, .. } => {
                 let (hist, ranks, phased) = crate::phased::parda_phased_with_stats::<T, _>(
                     SliceStream::new(trace),
                     chunk,
                     config,
-                    reduction,
                 );
                 (hist, ranks, Some(phased))
             }
@@ -692,7 +679,7 @@ mod tests {
             .ranks(3)
             .mode(Mode::Phased {
                 chunk: 50,
-                reduction: Reduction::RenumberRanks,
+                reduction: Reduction::ShipToRankZero,
             })
             .stats(true)
             .run(&trace);
@@ -961,9 +948,7 @@ mod tests {
             let reduction = Reduction::ShipToRankZero;
             prop_assert_eq!(
                 base.clone().mode(Mode::Phased { chunk, reduction }).run(&trace).0,
-                crate::phased::parda_phased_with::<SplayTree, _>(
-                    SliceStream::new(&trace), chunk, &config, reduction,
-                )
+                crate::phased::parda_phased::<SplayTree, _>(SliceStream::new(&trace), chunk, &config)
             );
             prop_assert_eq!(
                 base.mode(Mode::Naive).run(&trace).0,

@@ -578,7 +578,17 @@ impl<T: ReuseTree> Engine<T> {
         pairs
     }
 
-    /// Import live state pairs (Algorithm 6 receiver side).
+    /// Import a run of live state pairs in strictly increasing timestamp
+    /// order, as [`Self::drain_state`] produces them (Algorithm 6 receiver
+    /// side).
+    ///
+    /// Each surviving pair is upserted into the table and inserted into the
+    /// tree, with the table prefetched one batch ahead. Every import the
+    /// phased driver makes is an append: a rank's run lies inside its own
+    /// chunk of the phase, after all of rank 0's state, so each pair is a
+    /// max-key insert — a cheap splay/AVL/treap append, the `VectorTree`
+    /// append fast path. Out-of-order runs are accepted too, at the tree's
+    /// out-of-order insert cost.
     ///
     /// In unbounded mode the space-optimized cascade guarantees addresses
     /// are disjoint across ranks (every stale replica is deleted when the
@@ -587,24 +597,33 @@ impl<T: ReuseTree> Engine<T> {
     /// survive — a first touch beyond the forwarding bound `l ≥ B` is
     /// counted locally and never travels left to delete the older copy —
     /// so duplicates are resolved by keeping the newest timestamp (the true
-    /// last access).
+    /// last access); for an appended run that is always the imported copy.
     pub fn import_state(&mut self, pairs: &[(u64, Addr)]) {
-        for &(ts, addr) in pairs {
-            if let Some(prev) = self.table.last_access(addr) {
-                debug_assert!(
-                    self.bound.is_some(),
-                    "duplicate address {addr:#x} during unbounded state merge"
-                );
-                if prev >= ts {
-                    continue;
+        debug_assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "imported runs are strictly timestamp-ordered"
+        );
+        for batch in pairs.chunks(BATCH) {
+            for &(_, addr) in batch {
+                self.table.prefetch(addr);
+            }
+            for &(ts, addr) in batch {
+                if let Some(prev) = self.table.record(addr, ts) {
+                    debug_assert!(
+                        self.bound.is_some(),
+                        "duplicate address {addr:#x} during unbounded state merge"
+                    );
+                    if prev > ts {
+                        // The live copy is the newer one: keep it.
+                        self.table.record(addr, prev);
+                        continue;
+                    }
+                    self.tree.remove(prev);
+                    self.metrics.tree_ops += 1;
                 }
-                self.tree.remove(prev);
-                self.table.forget(addr);
+                self.tree.insert(ts, addr);
                 self.metrics.tree_ops += 1;
             }
-            self.tree.insert(ts, addr);
-            self.table.record(addr, ts);
-            self.metrics.tree_ops += 1;
         }
         let live = self.table.len() as u64;
         if live > self.metrics.live_hwm {
@@ -779,6 +798,55 @@ mod tests {
         // distances: `a` was at ts 1 with c, b after it → distance 2.
         b.process_chunk(&labels("a"), 4, MissSink::Infinite);
         assert_eq!(b.histogram().count(2), 1);
+    }
+
+    fn pairs(s: &str, ts: &[u64]) -> Vec<(u64, Addr)> {
+        ts.iter().copied().zip(labels(s)).collect()
+    }
+
+    /// One engine per run kind: appendable, out-of-order, and (bounded)
+    /// duplicate addresses in both kinds of run.
+    fn import_runs<T: ReuseTree + Default>() {
+        // Appendable: every imported timestamp is newer than the live state.
+        let mut e: Engine<T> = Engine::new(None, 0);
+        e.process_chunk(&labels("abcd"), 0, MissSink::Infinite);
+        e.import_state(&pairs("ef", &[5, 7]));
+        assert_eq!(e.export_state(), pairs("abcdef", &[0, 1, 2, 3, 5, 7]));
+
+        // Out-of-order: the run interleaves with the live state.
+        e.import_state(&pairs("ghi", &[4, 6, 8]));
+        assert_eq!(
+            e.export_state(),
+            pairs("abcdgehfi", &[0, 1, 2, 3, 4, 5, 6, 7, 8])
+        );
+        assert_eq!(e.live(), 9);
+        // The table agrees with the tree: `a` at 0 has 8 newer entries.
+        e.process_chunk(&labels("a"), 9, MissSink::Infinite);
+        assert_eq!(e.histogram().count(8), 1);
+
+        // Bounded duplicates, appendable: the imported copy of `a` is newer
+        // and replaces the live one.
+        let mut e: Engine<T> = Engine::new(Some(16), 0);
+        e.process_chunk(&labels("abcd"), 0, MissSink::Infinite);
+        e.import_state(&pairs("ax", &[5, 6]));
+        assert_eq!(e.export_state(), pairs("bcdax", &[1, 2, 3, 5, 6]));
+
+        // Bounded duplicates, out-of-order: the live `x` (6) beats the
+        // imported one (4); the imported `b` (8) beats the live one (1).
+        e.import_state(&pairs("xb", &[4, 8]));
+        assert_eq!(e.export_state(), pairs("cdaxb", &[2, 3, 5, 6, 8]));
+        assert_eq!(e.live(), 5);
+        e.process_chunk(&labels("xc"), 9, MissSink::Infinite);
+        assert_eq!(e.histogram().count(1), 1, "x at 6, only b newer");
+        assert_eq!(e.histogram().count(4), 1, "c at 2: d, a, b, x newer");
+    }
+
+    #[test]
+    fn import_state_appends_inserts_out_of_order_and_dedups_on_every_tree() {
+        import_runs::<SplayTree>();
+        import_runs::<AvlTree>();
+        import_runs::<Treap>();
+        import_runs::<parda_tree::VectorTree>();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | Algorithms 5–6 — multi-phase streaming analysis | [`phased::parda_phased`] |
 //! | Algorithm 7 — bounded (cache-capped) analysis | `bound` option on every engine |
 //! | §III-A — naïve stack algorithm | [`seq::analyze_naive`] |
-//! | §IV-D rank-renaming enhancement | [`phased::Reduction::RenumberRanks`] |
+//! | §IV-D state reduction — departs from the paper: rank 0 appends each rank's run, all newer than its own state, instead of a merge on rank np−1 shipped back | [`Engine::import_state`] |
 //! | §VII object-level applications | [`object::analyze_by_region`] |
 //! | §VII sampling combination | [`approx`] (SHARDS/AET sketches; legacy shim in [`sampled`]) |
 //! | §I cache sharing & partitioning | [`shared::analyze_corun`], [`shared::optimal_partition`] |

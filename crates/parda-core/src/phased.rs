@@ -4,24 +4,23 @@
 //! out of Pin), so the whole-trace chunking of Algorithm 3 cannot be
 //! applied up front. The phase-based algorithm reads `np · C` references per
 //! phase, runs one Parda pass over them, and then *reduces the analysis
-//! state*: every rank ships its live `(address, timestamp)` entries to the
-//! highest rank, which merges them (no duplicate checks needed in unbounded
-//! mode — the space-optimized cascade already deleted stale replicas). The
-//! rank holding the global state answers global infinities authoritatively
-//! in the next phase.
+//! state* onto one rank, which answers global infinities authoritatively
+//! in the next phase (no duplicate checks needed in unbounded mode — the
+//! space-optimized cascade already deleted stale replicas).
 //!
-//! Two reduction strategies, selectable via [`Reduction`]:
-//!
-//! * [`Reduction::ShipToRankZero`] — the basic Algorithm 6: merge on rank
-//!   `np−1`, then transfer the merged state back to rank 0.
-//! * [`Reduction::RenumberRanks`] — the paper's enhancement: "we can
-//!   reassign processor ids in the reverse order therefore processor np−1
-//!   becomes the processor 0 at next phase" — the merged state never moves;
-//!   all algorithm roles are played by *virtual* ranks whose mapping to
-//!   physical ranks reverses each phase.
-//!
-//! Both produce identical histograms (property-tested); the renumbering
-//! variant saves one O(M) state transfer per phase.
+//! The reduction departs from the paper. Algorithm 6 merges every rank's
+//! state on rank `np−1` and ships the merged state back to rank 0 (or, in
+//! the §IV-D enhancement, renames the ranks so it need not move). Here
+//! ranks `1..np` each send their state to rank 0, which appends it in rank
+//! order, and the global state never leaves rank 0. The chunk ranges make
+//! this an append: rank `v ≥ 1` starts every phase empty and analyzes the
+//! `v`-th chunk, so each of its live timestamps lies inside that chunk —
+//! strictly newer than all of rank 0's state (older phases plus chunk 0)
+//! and than every lower rank's run. Each imported run is therefore at most
+//! `C` pairs of max-key inserts through [`Engine::import_state`],
+//! where the paper's merge moves the O(M) global state twice per phase.
+//! In bounded mode the newest copy of an address still wins, and an
+//! appended run always holds it.
 
 use crate::engine::{Engine, MissSink};
 use crate::parallel::PardaConfig;
@@ -35,7 +34,7 @@ use parking_lot::Mutex;
 enum PhasedMsg {
     /// A chunk of the current phase starting at the given global index.
     /// `last` is set when the source ran dry filling this phase, letting
-    /// every rank skip the final state reduction (the merged tree would
+    /// every rank skip the final state reduction (the reduced state would
     /// only be consulted by a phase that never comes).
     Chunk {
         start_ts: u64,
@@ -51,19 +50,20 @@ enum PhasedMsg {
 }
 
 /// How per-rank state is reduced at each phase boundary (Algorithm 6).
+///
+/// There is one strategy, so this type selects nothing. It stays only
+/// because [`crate::Mode::Phased`] callers name it, the benchmark among
+/// them; removing it waits for a change that may edit the benchmark.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Reduction {
-    /// Merge on rank `np−1`, then ship the merged state to rank 0.
+    /// Every rank's state goes to rank 0, which appends it in rank order.
     #[default]
     ShipToRankZero,
-    /// Merge on virtual rank `np−1` and reverse the virtual rank order, so
-    /// the merging rank *becomes* virtual rank 0 — no state transfer.
-    RenumberRanks,
 }
 
 /// Streaming Parda: analyze `source` in phases of `np · phase_chunk`
-/// references (paper Algorithm 5), using the default
-/// [`Reduction::ShipToRankZero`] strategy.
+/// references (paper Algorithm 5), reducing the state onto rank 0 after
+/// each phase (Algorithm 6, by append).
 ///
 /// Returns the complete reuse-distance histogram; exact equality with the
 /// offline analyzers is property-tested.
@@ -88,33 +88,17 @@ where
     T: ReuseTree + Default,
     S: AddressStream + Send,
 {
-    parda_phased_with::<T, S>(source, phase_chunk, config, Reduction::ShipToRankZero)
+    parda_phased_with_stats::<T, S>(source, phase_chunk, config).0
 }
 
-/// Streaming Parda with an explicit reduction strategy.
-pub fn parda_phased_with<T, S>(
-    source: S,
-    phase_chunk: usize,
-    config: &PardaConfig,
-    reduction: Reduction,
-) -> ReuseHistogram
-where
-    T: ReuseTree + Default,
-    S: AddressStream + Send,
-{
-    parda_phased_with_stats::<T, S>(source, phase_chunk, config, reduction).0
-}
-
-/// [`parda_phased_with`] plus the observability breakdown: per-rank chunk
+/// [`parda_phased`] plus the observability breakdown: per-rank chunk
 /// and cascade timings accumulated over all phases, and a [`PhasedMetrics`]
 /// whose `phase_reduction_ns[k]` is the slowest rank's reduction time in
-/// phase `k` (the critical-path cost the paper's renumbering enhancement
-/// attacks).
+/// phase `k`.
 pub fn parda_phased_with_stats<T, S>(
     source: S,
     phase_chunk: usize,
     config: &PardaConfig,
-    reduction: Reduction,
 ) -> (ReuseHistogram, Vec<RankMetrics>, PhasedMetrics)
 where
     T: ReuseTree + Default,
@@ -126,8 +110,8 @@ where
         return phased_single_rank::<T, S>(source, config.bound);
     }
 
-    // Physical rank 0 owns the input stream (it is attached to the pipe in
-    // the paper's framework; virtual ranks rotate around it).
+    // Rank 0 owns the input stream (it is attached to the pipe in the
+    // paper's framework) and the global state.
     let source = Mutex::new(Some(source));
 
     let results = parda_comm::World::run::<PhasedMsg, (ReuseHistogram, RankMetrics, Vec<u64>), _>(
@@ -149,14 +133,10 @@ where
             };
             let mut phase_base: u64 = 0;
             let mut read_buf: Vec<Addr> = Vec::new();
-            // Virtual-rank mapping parity: when `reversed`, virtual rank v is
-            // played by physical rank np-1-v.
-            let mut reversed = false;
-            let phys = |v: usize, reversed: bool| if reversed { np - 1 - v } else { v };
 
             loop {
                 // --- distribution (paper Figure 3: the pipe-attached process
-                //     reads and scatters; chunk i goes to *virtual* rank i) ---
+                //     reads and scatters; chunk i goes to rank i) ---
                 let (chunk, start_ts, last_phase) = if p == 0 {
                     let src = my_source.as_mut().expect("rank 0 has the source");
                     read_buf.clear();
@@ -172,26 +152,21 @@ where
                     // the reduction below runs once more than needed).
                     let last = got < np * phase_chunk;
                     let chunks = chunk_slice(&read_buf, np);
-                    let mut acc = phase_base;
-                    let mut mine = None;
-                    for (v, c) in chunks.iter().enumerate() {
-                        let dest = phys(v, reversed);
-                        if dest == 0 {
-                            mine = Some((c.to_vec(), acc, last));
-                        } else {
-                            ctx.send(
-                                dest,
-                                PhasedMsg::Chunk {
-                                    start_ts: acc,
-                                    data: c.to_vec(),
-                                    last,
-                                },
-                            );
-                        }
+                    let mut acc = phase_base + chunks[0].len() as u64;
+                    for (dest, c) in chunks.iter().enumerate().skip(1) {
+                        ctx.send(
+                            dest,
+                            PhasedMsg::Chunk {
+                                start_ts: acc,
+                                data: c.to_vec(),
+                                last,
+                            },
+                        );
                         acc += c.len() as u64;
                     }
+                    let mine = (chunks[0].to_vec(), phase_base, last);
                     phase_base = acc;
-                    mine.expect("some virtual rank maps to physical 0")
+                    mine
                 } else {
                     match ctx.recv_from(0) {
                         PhasedMsg::Done => break,
@@ -203,17 +178,13 @@ where
                         _ => unreachable!("rank 0 only sends chunks or Done here"),
                     }
                 };
-
-                // This phase's virtual rank for this physical rank.
-                let v = if reversed { np - 1 - p } else { p };
                 rm.refs += chunk.len() as u64;
 
-                // --- one Parda pass over the phase (Algorithm 3 rounds, in
-                //     virtual-rank space) ---
+                // --- one Parda pass over the phase (Algorithm 3 rounds) ---
                 let sw = Stopwatch::start();
-                if v == 0 {
-                    // Virtual rank 0 analyzes on top of the accumulated global
-                    // state: its local infinities are authoritative.
+                if p == 0 {
+                    // Rank 0 analyzes on top of the accumulated global state:
+                    // its local infinities are authoritative.
                     engine.process_chunk(&chunk, start_ts, MissSink::Infinite);
                     rm.chunk_ns += sw.ns();
                 } else {
@@ -221,10 +192,10 @@ where
                     engine.process_chunk(&chunk, start_ts, MissSink::Forward(&mut local_inf));
                     rm.chunk_ns += sw.ns();
                     rm.infinities_forwarded += local_inf.len() as u64;
-                    ctx.send(phys(v - 1, reversed), PhasedMsg::Infinities(local_inf));
+                    ctx.send(p - 1, PhasedMsg::Infinities(local_inf));
                 }
-                for _ in 1..(np - v) {
-                    let incoming = match ctx.recv_from(phys(v + 1, reversed)) {
+                for _ in 1..(np - p) {
+                    let incoming = match ctx.recv_from(p + 1) {
                         PhasedMsg::Infinities(list) => list,
                         _ => unreachable!("cascade rounds only carry infinity lists"),
                     };
@@ -233,52 +204,29 @@ where
                     let sw = Stopwatch::start();
                     let mut survivors = Vec::new();
                     engine.process_infinities(&incoming, &mut survivors);
-                    if v == 0 {
+                    if p == 0 {
                         engine.record_global_infinities(survivors.len() as u64);
                     } else {
                         rm.infinities_forwarded += survivors.len() as u64;
-                        ctx.send(phys(v - 1, reversed), PhasedMsg::Infinities(survivors));
+                        ctx.send(p - 1, PhasedMsg::Infinities(survivors));
                     }
                     rm.cascade_ns += sw.ns();
                 }
 
-                // --- state reduction onto virtual rank np-1 (Algorithm 6) ---
-                // The merged state exists solely to answer the *next* phase's
-                // global infinities, so the last phase skips the reduction
-                // entirely — on big traces that saves merging O(M) live
-                // entries into a tree nobody will query.
+                // --- state reduction onto rank 0, by in-order append ---
+                // The reduced state exists solely to answer the *next*
+                // phase's global infinities, so the last phase skips it.
                 let red_ns = if !last_phase {
                     let sw = Stopwatch::start();
-                    let merger = phys(np - 1, reversed);
-                    if v != np - 1 {
-                        ctx.send(merger, PhasedMsg::State(engine.drain_state()));
-                    } else {
-                        for src_v in 0..np - 1 {
-                            match ctx.recv_from(phys(src_v, reversed)) {
+                    if p == 0 {
+                        for src in 1..np {
+                            match ctx.recv_from(src) {
                                 PhasedMsg::State(pairs) => engine.import_state(&pairs),
                                 _ => unreachable!("reduction expects state messages"),
                             }
                         }
-                    }
-                    match reduction {
-                        Reduction::ShipToRankZero => {
-                            // Transfer the merged state back to (virtual =
-                            // physical) rank 0.
-                            if v == np - 1 {
-                                ctx.send(phys(0, reversed), PhasedMsg::State(engine.drain_state()));
-                            }
-                            if v == 0 {
-                                match ctx.recv_from(merger) {
-                                    PhasedMsg::State(pairs) => engine.import_state(&pairs),
-                                    _ => unreachable!("the merger ships the merged state"),
-                                }
-                            }
-                        }
-                        Reduction::RenumberRanks => {
-                            // The merger keeps the state and becomes virtual
-                            // rank 0: reverse the virtual order (np-1 ↦ 0).
-                            reversed = !reversed;
-                        }
+                    } else {
+                        ctx.send(0, PhasedMsg::State(engine.drain_state()));
                     }
                     sw.ns()
                 } else {
@@ -343,8 +291,30 @@ mod tests {
     use super::*;
     use crate::seq::analyze_sequential;
     use parda_trace::SliceStream;
-    use parda_tree::SplayTree;
+    use parda_tree::{AvlTree, SplayTree, Treap, VectorTree};
     use proptest::prelude::*;
+
+    /// The phased histogram under every tree kind, in `TreeKind::ALL` order.
+    fn phased_all_trees(trace: &[Addr], chunk: usize, config: &PardaConfig) -> [ReuseHistogram; 4] {
+        [
+            parda_phased::<SplayTree, _>(SliceStream::new(trace), chunk, config),
+            parda_phased::<AvlTree, _>(SliceStream::new(trace), chunk, config),
+            parda_phased::<Treap, _>(SliceStream::new(trace), chunk, config),
+            parda_phased::<VectorTree, _>(SliceStream::new(trace), chunk, config),
+        ]
+    }
+
+    /// Algorithm 7's contract: exact below the bound, identical totals and
+    /// miss counts up to it.
+    fn assert_bounded_contract(hist: &ReuseHistogram, full: &ReuseHistogram, bound: u64) {
+        assert_eq!(hist.total(), full.total());
+        for d in 0..bound {
+            assert_eq!(hist.count(d), full.count(d), "bucket {d}");
+        }
+        for cap in 1..=bound {
+            assert_eq!(hist.miss_count(cap), full.miss_count(cap), "capacity {cap}");
+        }
+    }
 
     #[test]
     fn phased_matches_offline_on_small_trace() {
@@ -352,14 +322,9 @@ mod tests {
         let seq = analyze_sequential::<SplayTree>(&trace, None);
         for np in [1usize, 2, 3, 4] {
             for chunk in [1usize, 2, 4, 100] {
-                for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-                    let hist = parda_phased_with::<SplayTree, _>(
-                        SliceStream::new(&trace),
-                        chunk,
-                        &PardaConfig::with_ranks(np),
-                        reduction,
-                    );
-                    assert_eq!(hist, seq, "np={np} chunk={chunk} {reduction:?}");
+                let hists = phased_all_trees(&trace, chunk, &PardaConfig::with_ranks(np));
+                for (hist, kind) in hists.iter().zip(parda_tree::TreeKind::ALL) {
+                    assert_eq!(*hist, seq, "np={np} chunk={chunk} {kind:?}");
                 }
             }
         }
@@ -372,47 +337,35 @@ mod tests {
         let mut trace: Vec<Addr> = (0..32).collect();
         trace.extend(0..32u64);
         let seq = analyze_sequential::<SplayTree>(&trace, None);
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                8, // np*C = 32: the second lap lands entirely in phase 2
-                &PardaConfig::with_ranks(4),
-                reduction,
-            );
-            assert_eq!(hist, seq, "{reduction:?}");
-            assert_eq!(hist.count(31), 32, "each element reused at distance 31");
-        }
+        let hist = parda_phased::<SplayTree, _>(
+            SliceStream::new(&trace),
+            8, // np*C = 32: the second lap lands entirely in phase 2
+            &PardaConfig::with_ranks(4),
+        );
+        assert_eq!(hist, seq);
+        assert_eq!(hist.count(31), 32, "each element reused at distance 31");
     }
 
     #[test]
-    fn renumbering_survives_many_phases() {
-        // Odd numbers of phases leave the virtual order reversed; even
-        // numbers restore it. Run enough phases to exercise both parities
-        // with state resident on both ends.
+    fn state_accumulates_on_rank_zero_over_many_phases() {
+        // Many phases, each appending every rank's run onto the global
+        // state rank 0 already holds, with chunks both smaller and larger
+        // than the footprint.
         let trace: Vec<Addr> = (0..3_000).map(|i| i % 100).collect();
         let seq = analyze_sequential::<SplayTree>(&trace, None);
         for chunk in [10usize, 17, 100] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                chunk,
-                &PardaConfig::with_ranks(3),
-                Reduction::RenumberRanks,
-            );
-            assert_eq!(hist, seq, "chunk={chunk}");
+            let hists = phased_all_trees(&trace, chunk, &PardaConfig::with_ranks(3));
+            for (hist, kind) in hists.iter().zip(parda_tree::TreeKind::ALL) {
+                assert_eq!(*hist, seq, "chunk={chunk} {kind:?}");
+            }
         }
     }
 
     #[test]
     fn empty_stream_is_fine() {
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&[]),
-                16,
-                &PardaConfig::with_ranks(3),
-                reduction,
-            );
-            assert_eq!(hist.total(), 0, "{reduction:?}");
-        }
+        let hist =
+            parda_phased::<SplayTree, _>(SliceStream::new(&[]), 16, &PardaConfig::with_ranks(3));
+        assert_eq!(hist.total(), 0);
     }
 
     #[test]
@@ -420,15 +373,9 @@ mod tests {
         // 100 refs with np*C = 48: two full phases + one ragged (4 refs).
         let trace: Vec<Addr> = (0..100).map(|i| i % 10).collect();
         let seq = analyze_sequential::<SplayTree>(&trace, None);
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                16,
-                &PardaConfig::with_ranks(3),
-                reduction,
-            );
-            assert_eq!(hist, seq, "{reduction:?}");
-        }
+        let hist =
+            parda_phased::<SplayTree, _>(SliceStream::new(&trace), 16, &PardaConfig::with_ranks(3));
+        assert_eq!(hist, seq);
     }
 
     #[test]
@@ -436,42 +383,43 @@ mod tests {
         let trace: Vec<Addr> = (0..1_000).map(|i| (i * 13) % 101).collect();
         let full = analyze_sequential::<SplayTree>(&trace, None);
         let cfg = PardaConfig::with_ranks(3).bounded(16);
-        for reduction in [Reduction::ShipToRankZero, Reduction::RenumberRanks] {
-            let hist =
-                parda_phased_with::<SplayTree, _>(SliceStream::new(&trace), 32, &cfg, reduction);
-            assert_eq!(hist.total(), full.total(), "{reduction:?}");
-            for d in 0..16u64 {
-                assert_eq!(hist.count(d), full.count(d), "{reduction:?} bucket {d}");
-            }
-            for cap in 1..=16u64 {
-                assert_eq!(
-                    hist.miss_count(cap),
-                    full.miss_count(cap),
-                    "{reduction:?} capacity {cap}"
-                );
-            }
+        for hist in &phased_all_trees(&trace, 32, &cfg) {
+            assert_bounded_contract(hist, &full, 16);
         }
     }
 
     proptest! {
-        /// Streaming = offline, for every trace, rank count, phase size,
-        /// and reduction strategy.
+        /// Streaming = offline, for every trace, rank count, phase size and
+        /// tree kind.
         #[test]
         fn phased_equals_offline(
             trace in proptest::collection::vec(0u64..32, 0..250),
             np in 1usize..5,
             chunk in 1usize..40,
-            renumber in any::<bool>(),
         ) {
             let seq = analyze_sequential::<SplayTree>(&trace, None);
-            let reduction = if renumber { Reduction::RenumberRanks } else { Reduction::ShipToRankZero };
-            let hist = parda_phased_with::<SplayTree, _>(
-                SliceStream::new(&trace),
-                chunk,
-                &PardaConfig::with_ranks(np),
-                reduction,
-            );
-            prop_assert_eq!(hist, seq);
+            for hist in &phased_all_trees(&trace, chunk, &PardaConfig::with_ranks(np)) {
+                prop_assert_eq!(hist, &seq);
+            }
+        }
+
+        /// With a small bound, first touches past the forwarding cap stay
+        /// on their rank while older copies live on lower ranks, so
+        /// replicas of one address reach the reduction from several ranks.
+        /// Every tree must still agree and keep Algorithm 7's contract.
+        #[test]
+        fn bounded_phased_trees_agree(
+            trace in proptest::collection::vec(0u64..32, 0..250),
+            np in 2usize..5,
+            chunk in 1usize..40,
+            bound in 1u64..6,
+        ) {
+            let seq = analyze_sequential::<SplayTree>(&trace, None);
+            let hists = phased_all_trees(&trace, chunk, &PardaConfig::with_ranks(np).bounded(bound));
+            for hist in &hists {
+                prop_assert_eq!(hist, &hists[0]);
+                assert_bounded_contract(hist, &seq, bound);
+            }
         }
     }
 }

@@ -12,10 +12,16 @@
 //! tree is rebuilt — amortized O(1) per access.
 //!
 //! This is the fourth [`ReuseTree`] implementation, used in the D1
-//! structure ablation. Timestamps arriving in increasing order (the
-//! analyzer's normal operation) append in O(log n); out-of-order inserts
-//! (only the multi-phase merge path could do this, and it happens to insert
-//! in order too) fall back to an O(n) splice, documented below.
+//! structure ablation. Timestamps newer than every slot (the analyzer's
+//! normal operation, and every run the multi-phase reduction appends onto
+//! rank 0) append in O(log n). An out-of-order insert falls back to an
+//! O(n) splice, documented below; only an out-of-order run passed to
+//! `Engine::import_state` directly takes it.
+//!
+//! The time axis grows with the live count, at compaction. The
+//! tree keeps [`ReuseTree::reserve`]'s no-op default: the engine's hint is a
+//! reference count, and sizing the time axis to it would spread a small
+//! live set over O(N) slots.
 
 use crate::{Fenwick, ReuseTree};
 
@@ -149,7 +155,7 @@ impl ReuseTree for VectorTree {
             return;
         }
         // Slow path: splice into position and rebuild (O(n); only
-        // out-of-order merges take this).
+        // out-of-order inserts take this).
         let idx = self.lower_bound(timestamp);
         assert!(
             self.slots[idx].ts != timestamp || self.slots[idx].addr == EMPTY_ADDR,
@@ -215,10 +221,6 @@ impl ReuseTree for VectorTree {
 
     fn len(&self) -> usize {
         self.live
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.slots.reserve(additional);
     }
 
     fn clear(&mut self) {

@@ -69,7 +69,7 @@ pub mod prelude {
     };
     pub use parda_core::object::{analyze_by_region, RegionAnalysis, RegionMap};
     pub use parda_core::parallel::{parda_msg, parda_threads, parda_threads_faulted};
-    pub use parda_core::phased::{parda_phased, parda_phased_with, Reduction};
+    pub use parda_core::phased::{parda_phased, Reduction};
     pub use parda_core::seq::{analyze_naive, analyze_sequential, SequentialAnalyzer};
     pub use parda_core::{
         Analysis, Degradation, Engine, FaultPolicy, MissSink, Mode, PardaConfig, PardaError, Report,
