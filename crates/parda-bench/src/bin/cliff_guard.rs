@@ -32,12 +32,10 @@ fn main() -> ExitCode {
     let modes = [
         Mode::Seq,
         Mode::Threads,
-        Mode::Msg,
         Mode::Phased {
             chunk: 65_536,
             reduction: Reduction::ShipToRankZero,
         },
-        Mode::Sampled { rate_log2: 3 },
     ];
     let mut cliffs = 0;
     for mode in modes {

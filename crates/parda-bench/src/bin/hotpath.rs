@@ -9,7 +9,7 @@
 //!       --refs 10000000 --out BENCH_hotpath.json
 
 use parda_bench::time;
-use parda_core::{Analysis, Engine, MissSink, Mode, PardaConfig};
+use parda_core::{Analysis, Engine, MissSink, Mode};
 use parda_trace::gen::ZipfGen;
 use parda_trace::{AddressStream, Trace};
 use parda_tree::{AvlTree, ReuseTree, SplayTree, Treap, TreeKind};
@@ -72,11 +72,10 @@ fn main() {
     let seed: u64 = get("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
     let runs: u32 = get("--runs").and_then(|v| v.parse().ok()).unwrap_or(3);
     let out = get("--out").unwrap_or_else(|| "BENCH_hotpath.json".into());
-    // Optional comma-separated tree filter (e.g. --trees splay,avl) and
-    // work-stealing grain override (--subchunk N), for tuning runs.
+    // Optional comma-separated tree filter (e.g. --trees splay,avl), for
+    // tuning runs.
     let tree_filter: Option<Vec<String>> =
         get("--trees").map(|v| v.split(',').map(str::to_string).collect());
-    let subchunk: Option<usize> = get("--subchunk").and_then(|v| v.parse().ok());
 
     eprintln!("hotpath: generating {refs} zipf({theta}) refs over {footprint} addresses");
     let trace: Trace = ZipfGen::new(footprint as usize, theta, 0, seed).take_trace(refs as usize);
@@ -110,13 +109,8 @@ fn main() {
 
         // Pipelined shared-memory driver at 8 ranks (work-stealing
         // sub-chunks + merge-based cascade).
-        let mut config = PardaConfig::with_ranks(8);
-        if let Some(grain) = subchunk {
-            config = config.subchunk_refs(grain);
-        }
-        let secs = best_of(runs, || {
-            parda_core::parda_kind(trace.as_slice(), kind, &config)
-        });
+        let threads8 = Analysis::new().tree(kind).mode(Mode::Threads).ranks(8);
+        let secs = best_of(runs, || threads8.run(trace.as_slice()).0);
         push_row(&mut results, kind, "threads8", refs, secs);
         let ratio = seq_secs / secs;
         eprintln!("  {:<6} threads8/seq speedup: {ratio:.2}x", kind.name());

@@ -1,11 +1,12 @@
 //! Subcommand implementations.
 
 use crate::{Args, CliError};
+use parda_core::parallel::parda_msg;
 use parda_core::phased::Reduction;
 use parda_core::{
     analyze_concurrent_kind, default_granularity, interleave_threads, recommend_partition,
     shared_metrics, Analysis, ApproxMode, Degradation, FaultPolicy, InterleaveModel, Mode,
-    PardaError, Report,
+    PardaConfig, PardaError, Report,
 };
 use parda_obs::SharedMetrics;
 use parda_pinsim::{collect_mt_trace, collect_trace};
@@ -18,7 +19,7 @@ use parda_trace::io::{
 use parda_trace::spec::{SpecBenchmark, SPEC2006};
 use parda_trace::stream::FramedStream;
 use parda_trace::{load_trace_recovering, verify_trace, Addr, AddressStream, Trace};
-use parda_tree::TreeKind;
+use parda_tree::{SplayTree, TreeKind};
 use serde::Deserialize;
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -53,7 +54,7 @@ commands:
              --out <file> [--encoding <raw|delta>] [--format <v1|v2>]
              (v2 is the default: block-framed with a seekable index)
   analyze  analyze a trace file
-             <file> [--engine <parda|msg|seq|naive|phased|sampled>] [--ranks <p>]
+             <file> [--engine <parda|seq|naive|phased>] [--ranks <p>]
              [--bound <B>] [--tree <splay|avl|treap|vector>] [--json]
              [--line-bits <b>]  (fold addresses to 2^b-byte lines first)
              [--stream]  (decode v2 frames concurrently with analysis;
@@ -69,8 +70,6 @@ commands:
                           spec is exact | shards:<rate> | shards-smax:<n>
                           | aet[:<rate>], default shards:0.01)
              phased:  [--chunk <C>]
-             sampled: [--rate <k>]   (legacy spatial sampling at rate 2^-k;
-                          prefer --approx=shards:<rate>)
   mrc      print the miss ratio curve of a trace
              <file> [--capacities <c1,c2,...>] [--stream]
              [--stats[=json|pretty]] [--degradation <policy>]
@@ -343,13 +342,8 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     let engine = args.get("engine").unwrap_or("parda");
-    if !matches!(
-        engine,
-        "parda" | "msg" | "seq" | "naive" | "phased" | "sampled"
-    ) {
-        return Err(
-            format!("unknown engine `{engine}` (parda|msg|seq|naive|phased|sampled)").into(),
-        );
+    if !matches!(engine, "parda" | "seq" | "naive" | "phased") {
+        return Err(format!("unknown engine `{engine}` (parda|seq|naive|phased)").into());
     }
     let tree = parse_tree(args)?;
     let bound: Option<u64> = args.get_optional("bound")?;
@@ -436,15 +430,11 @@ pub fn analyze(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             let mode = match engine {
                 "seq" => Mode::Seq,
                 "naive" => Mode::Naive,
-                "msg" => Mode::Msg,
                 "phased" => Mode::Phased { chunk, reduction },
-                "sampled" => Mode::Sampled {
-                    rate_log2: args.get_parsed("rate", 3)?,
-                },
                 _ => Mode::Threads,
             };
-            // run_faulted: the threads engine gets panic-isolated workers
-            // with scalar rescue; other engines run unchanged.
+            // run_faulted: the threads engine's errors come back as values
+            // and leave through the exit-code classes.
             let (hist, report) = builder
                 .clone()
                 .mode(mode)
@@ -600,8 +590,10 @@ pub fn compare(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     run(format!("parda-threads/p{ranks}"), &mut || {
         base.clone().mode(Mode::Threads).run(trace.as_slice()).0
     });
+    // The message-passing Algorithm 3, kept as the paper-faithful oracle.
+    let config = PardaConfig::with_ranks(ranks);
     run(format!("parda-msg/p{ranks}"), &mut || {
-        base.clone().mode(Mode::Msg).run(trace.as_slice()).0
+        parda_msg::<SplayTree>(trace.as_slice(), &config)
     });
     run(format!("phased/p{ranks}"), &mut || {
         base.clone()

@@ -253,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn phased_sampled_and_vector_engines() {
+    fn phased_and_vector_engines() {
         let dir = std::env::temp_dir().join("parda-cli-test3");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("w.trc");
@@ -297,10 +297,12 @@ mod tests {
             "engines disagree: {totals:?}"
         );
 
-        // The sampled engine runs and reports an estimate.
-        let (code, out) = run_to_string(&["analyze", p, "--engine", "sampled", "--rate", "2"]);
-        assert_eq!(code, 0, "sampled failed: {out}");
-        assert!(out.contains("total="));
+        // Removed engines are usage errors naming the remaining ones.
+        for engine in ["msg", "sampled"] {
+            let (code, out) = run_to_string(&["analyze", p, "--engine", engine]);
+            assert_eq!(code, 1, "--engine {engine}: {out}");
+            assert!(out.contains("parda|seq|naive|phased"), "{out}");
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -334,7 +336,7 @@ mod tests {
         assert_eq!(code, 0);
 
         let (code, out) =
-            run_to_string(&["analyze", p, "--engine=msg", "--ranks=8", "--stats=json"]);
+            run_to_string(&["analyze", p, "--engine=parda", "--ranks=8", "--stats=json"]);
         assert_eq!(code, 0, "{out}");
         let doc: Value =
             serde_json::from_str(out.trim()).expect("--stats=json stdout is one JSON document");
@@ -342,7 +344,7 @@ mod tests {
         let stats = doc.field("stats").unwrap();
         assert_eq!(
             stats.field("mode").unwrap(),
-            &Value::Str("parda-msg".into())
+            &Value::Str("parda-threads".into())
         );
         let Value::Array(per_rank) = stats.field("per_rank").unwrap() else {
             panic!("per_rank is not an array");

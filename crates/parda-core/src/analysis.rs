@@ -2,8 +2,8 @@
 //!
 //! Every engine in this crate — sequential (Algorithm 1), naïve stack
 //! (§III-A), parallel (Algorithm 3), streaming multi-phase (Algorithms 5–6),
-//! and sampling (§VII) — is reachable through one builder, with runtime tree
-//! selection and an optional observability [`Report`]:
+//! and the approximate sketches (§VII) — is reachable through one builder,
+//! with runtime tree selection and an optional observability [`Report`]:
 //!
 //! ```
 //! use parda_core::{Analysis, Mode};
@@ -28,12 +28,14 @@
 //! through, and aggregates the per-rank metrics into a [`Report`]. The
 //! histograms are bit-identical to the direct calls (property-tested).
 
-use crate::approx::{ApproxMode, ApproxSketch, SampleRate};
+use crate::approx::{ApproxMode, ApproxSketch};
 use crate::error::{FaultPolicy, PardaError};
 use crate::parallel::PardaConfig;
 use crate::phased::Reduction;
 use parda_hist::ReuseHistogram;
-use parda_obs::{EngineMetrics, PhasedMetrics, RankMetrics, Report, Stopwatch, StreamMetrics};
+use parda_obs::{
+    EngineMetrics, PhasedMetrics, RankMetrics, RecoveryMetrics, Report, Stopwatch, StreamMetrics,
+};
 use parda_trace::stream::FramedStream;
 use parda_trace::{Addr, AddressStream, Degradation, SliceStream};
 use parda_tree::TreeKind;
@@ -72,11 +74,9 @@ pub enum Mode {
     /// §III-A: the O(N·M) naïve stack baseline (ignores tree/ranks/bound).
     Naive,
     /// Algorithm 3 via the shared-memory driver
-    /// ([`crate::parallel::parda_threads`]).
+    /// ([`crate::parallel::parda_threads_with_stats`]) under the builder's
+    /// [`FaultPolicy`].
     Threads,
-    /// Algorithm 3 via the literal message-passing driver
-    /// ([`crate::parallel::parda_msg`]).
-    Msg,
     /// Algorithms 5–6: streaming multi-phase analysis.
     Phased {
         /// References per rank per phase (`C`).
@@ -84,11 +84,6 @@ pub enum Mode {
         /// State-reduction strategy (Algorithm 6); there is only one,
         /// see [`Reduction`].
         reduction: Reduction,
-    },
-    /// §VII: spatial-sampling approximation at rate `2^-rate_log2`.
-    Sampled {
-        /// Sampling rate exponent `k` (rate `2^-k`; 0 is exact).
-        rate_log2: u32,
     },
 }
 
@@ -99,9 +94,7 @@ impl Mode {
             Mode::Seq => "seq",
             Mode::Naive => "naive",
             Mode::Threads => "parda-threads",
-            Mode::Msg => "parda-msg",
             Mode::Phased { .. } => "phased",
-            Mode::Sampled { .. } => "sampled",
         }
     }
 
@@ -136,7 +129,6 @@ pub struct Analysis {
     ranks: Option<usize>,
     bound: Option<u64>,
     space_optimized: bool,
-    subchunk_refs: Option<usize>,
     stats: bool,
     fault: FaultPolicy,
 }
@@ -158,7 +150,6 @@ impl Analysis {
             ranks: None,
             bound: None,
             space_optimized: true,
-            subchunk_refs: None,
             stats: false,
             fault: FaultPolicy::default(),
         }
@@ -212,13 +203,6 @@ impl Analysis {
         self
     }
 
-    /// Override the [`Mode::Threads`] work-stealing sub-chunk grain
-    /// ([`PardaConfig::subchunk_refs`]); `None` keeps the default.
-    pub fn subchunk_refs(mut self, refs: impl Into<Option<usize>>) -> Self {
-        self.subchunk_refs = refs.into();
-        self
-    }
-
     /// Collect an observability [`Report`] (per-rank timing breakdown,
     /// cascade/stream counters).
     pub fn stats(mut self, on: bool) -> Self {
@@ -233,9 +217,9 @@ impl Analysis {
         self
     }
 
-    /// Full fault policy for [`Analysis::run_file`] /
-    /// [`Analysis::run_faulted`]: degradation ladder plus worker-panic
-    /// retry budget and watchdog deadline.
+    /// Full fault policy: the degradation ladder for
+    /// [`Analysis::run_file`], plus the worker-panic retry budget and
+    /// watchdog deadline every [`Mode::Threads`] run applies.
     pub fn fault_policy(mut self, policy: FaultPolicy) -> Self {
         self.fault = policy;
         self
@@ -275,31 +259,29 @@ impl Analysis {
         }
         config.bound = self.bound;
         config.space_optimized = self.space_optimized;
-        config.subchunk_refs = self.subchunk_refs;
         config
     }
 
     /// Ranks actually used: 1 for the sequential engines, `np` otherwise.
     fn effective_ranks(&self, config: &PardaConfig) -> usize {
         match self.mode {
-            Mode::Seq | Mode::Naive | Mode::Sampled { .. } => 1,
+            Mode::Seq | Mode::Naive => 1,
             _ => config.ranks.max(1),
         }
     }
 
     /// Analyze an in-memory trace.
+    ///
+    /// # Panics
+    ///
+    /// With the error [`Analysis::run_faulted`] would return: a
+    /// [`Mode::Threads`] worker panic that survives every rescue retry, or
+    /// a watchdog stall.
     pub fn run(&self, trace: &[Addr]) -> (ReuseHistogram, Option<Report>) {
-        if !self.approx.is_exact() {
-            let sw = Stopwatch::start();
-            let mut sketch = ApproxSketch::new(self.approx);
-            sketch.update(trace);
-            return self.finish_approx(&sketch, trace.len() as u64, sw.ns());
+        match self.run_faulted(trace) {
+            Ok(out) => out,
+            Err(e) => panic!("{e}"),
         }
-        let config = self.config();
-        let sw = Stopwatch::start();
-        let (hist, per_rank, phased) =
-            dispatch_tree!(self.tree, T, { self.run_typed::<T>(trace, &config) });
-        self.finish(hist, per_rank, phased, None, trace.len() as u64, sw.ns())
     }
 
     /// Analyze an address stream with the streaming multi-phase engine
@@ -392,32 +374,36 @@ impl Analysis {
         (hist, Some(report))
     }
 
-    /// Analyze an in-memory trace with fault isolation.
+    /// Analyze an in-memory trace, returning unrecoverable faults instead
+    /// of panicking.
     ///
-    /// For [`Mode::Threads`] this drives
-    /// [`crate::parallel::parda_threads_faulted`]: panicking rank workers
-    /// are caught and rescued with the scalar reference engine under the
-    /// builder's [`FaultPolicy`] (bit-identical histogram on success), and
-    /// a configured watchdog converts a stalled cascade wait into
-    /// [`PardaError::Stall`]. Other modes run unchanged — their engines
-    /// are single-threaded or message-passing and a panic there is a
-    /// programming error that should surface.
+    /// [`Mode::Threads`] runs the one Algorithm 3 driver
+    /// ([`crate::parallel::parda_threads_with_stats`]) under the builder's
+    /// [`FaultPolicy`]: panicking workers are caught and their items
+    /// rescued with the scalar reference engine (bit-identical histogram
+    /// on success), and a configured watchdog converts a stalled cascade
+    /// wait into [`PardaError::Stall`]; the report carries the recovery
+    /// tally. [`Analysis::run`] calls the same path and panics with the
+    /// error. Other modes are single-threaded or stream-driven, and a
+    /// panic there is a programming error that should surface.
     pub fn run_faulted(
         &self,
         trace: &[Addr],
     ) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
-        if self.mode != Mode::Threads || !self.approx.is_exact() {
-            return Ok(self.run(trace));
+        if !self.approx.is_exact() {
+            let sw = Stopwatch::start();
+            let mut sketch = ApproxSketch::new(self.approx);
+            sketch.update(trace);
+            return Ok(self.finish_approx(&sketch, trace.len() as u64, sw.ns()));
         }
         let config = self.config();
         let sw = Stopwatch::start();
-        let (hist, per_rank, recovery) = dispatch_tree!(self.tree, T, {
-            crate::parallel::parda_threads_faulted::<T>(trace, &config, &self.fault)
-        })?;
+        let (hist, per_rank, phased, recovery) =
+            dispatch_tree!(self.tree, T, { self.run_typed::<T>(trace, &config) })?;
         let (hist, mut report) =
-            self.finish(hist, per_rank, None, None, trace.len() as u64, sw.ns());
+            self.finish(hist, per_rank, phased, None, trace.len() as u64, sw.ns());
         if let Some(r) = report.as_mut() {
-            r.recovery = Some(recovery);
+            r.recovery = recovery;
         }
         Ok((hist, report))
     }
@@ -490,30 +476,27 @@ impl Analysis {
         Ok((hist, report))
     }
 
-    /// One engine run with a concrete tree type.
+    /// One exact engine run with a concrete tree type.
     fn run_typed<T: parda_tree::ReuseTree + Default + Send>(
         &self,
         trace: &[Addr],
         config: &PardaConfig,
-    ) -> (ReuseHistogram, Vec<RankMetrics>, Option<PhasedMetrics>) {
-        match self.mode {
+    ) -> Result<EngineRun, PardaError> {
+        Ok(match self.mode {
             Mode::Seq => {
                 let (hist, rm) = crate::seq::analyze_sequential_with_stats::<T>(trace, self.bound);
-                (hist, vec![rm], None)
+                (hist, vec![rm], None, None)
             }
             Mode::Naive => {
                 let sw = Stopwatch::start();
                 let hist = crate::seq::analyze_naive(trace);
                 let rm = untimed_rank_metrics(trace.len() as u64, &hist, sw.ns());
-                (hist, vec![rm], None)
+                (hist, vec![rm], None, None)
             }
             Mode::Threads => {
-                let (hist, ranks) = crate::parallel::parda_threads_with_stats::<T>(trace, config);
-                (hist, ranks, None)
-            }
-            Mode::Msg => {
-                let (hist, ranks) = crate::parallel::parda_msg_with_stats::<T>(trace, config);
-                (hist, ranks, None)
+                let (hist, ranks, recovery) =
+                    crate::parallel::parda_threads_with_stats::<T>(trace, config, &self.fault)?;
+                (hist, ranks, None, Some(recovery))
             }
             Mode::Phased { chunk, .. } => {
                 let (hist, ranks, phased) = crate::phased::parda_phased_with_stats::<T, _>(
@@ -521,29 +504,9 @@ impl Analysis {
                     chunk,
                     config,
                 );
-                (hist, ranks, Some(phased))
+                (hist, ranks, Some(phased), None)
             }
-            Mode::Sampled { rate_log2 } => {
-                let sw = Stopwatch::start();
-                // Historical pow-2 spatial sampling, kept bit-exact: filter
-                // to monitored addresses, scale distances and counts by the
-                // inverse rate, no SHARDS-adj correction.
-                let rate = SampleRate::one_in_pow2(rate_log2);
-                let scale = rate.inverse();
-                let monitored: Vec<Addr> = trace
-                    .iter()
-                    .copied()
-                    .filter(|&a| rate.monitors(a))
-                    .collect();
-                let mut hist = ReuseHistogram::new();
-                crate::seq::analyze_with::<T, _>(&monitored, |_, _, distance| match distance {
-                    parda_hist::Distance::Finite(d) => hist.record_finite_n(d * scale, scale),
-                    parda_hist::Distance::Infinite => hist.record_infinite_n(scale),
-                });
-                let rm = untimed_rank_metrics(trace.len() as u64, &hist, sw.ns());
-                (hist, vec![rm], None)
-            }
-        }
+        })
     }
 
     fn finish(
@@ -577,6 +540,16 @@ impl Analysis {
     }
 }
 
+/// One exact engine run before it is folded into a [`Report`]: the
+/// histogram, per-rank metrics, and the phase and recovery tallies of the
+/// engines that keep them.
+type EngineRun = (
+    ReuseHistogram,
+    Vec<RankMetrics>,
+    Option<PhasedMetrics>,
+    Option<RecoveryMetrics>,
+);
+
 /// Decoder-thread count for [`Analysis::run_file`]'s streaming path —
 /// the same default [`FramedStream::open`] uses.
 fn stream_decoders() -> usize {
@@ -587,7 +560,7 @@ fn stream_decoders() -> usize {
 }
 
 /// Rank metrics for the engines without internal instrumentation (naïve
-/// stack, sampling estimator): the whole run is one rank-0 "chunk", and the
+/// stack, approximate sketches): the whole run is one rank-0 "chunk", and the
 /// operation counts are reconstructed from the histogram.
 fn untimed_rank_metrics(refs: u64, hist: &ReuseHistogram, ns: u64) -> RankMetrics {
     RankMetrics {
@@ -624,13 +597,13 @@ mod tests {
         let trace: Vec<Addr> = (0..1000).map(|i| (i * 13) % 97).collect();
         let (hist, report) = Analysis::new()
             .ranks(8)
-            .mode(Mode::Msg)
+            .mode(Mode::Threads)
             .stats(true)
             .run(&trace);
         let report = report.unwrap();
         assert_eq!(report.per_rank.len(), 8);
         assert_eq!(report.total_rank_refs(), 1000);
-        assert_eq!(report.mode, "parda-msg");
+        assert_eq!(report.mode, "parda-threads");
         // Rank 0 owns every global infinity: its cold misses are exactly
         // the histogram's ∞ count.
         assert_eq!(report.per_rank[0].engine.cold_misses, hist.infinite());
@@ -651,19 +624,16 @@ mod tests {
             .mode(Mode::Threads)
             .stats(true)
             .run(&trace);
-        let (h2, r2) = Analysis::new()
-            .ranks(4)
-            .mode(Mode::Msg)
-            .stats(true)
-            .run(&trace);
+        let (h2, msg) =
+            crate::parallel::parda_msg_with_stats::<SplayTree>(&trace, &PardaConfig::with_ranks(4));
         assert_eq!(h1, h2);
-        let (r1, r2) = (r1.unwrap(), r2.unwrap());
+        let r1 = r1.unwrap();
         assert_eq!(
             r1.total_infinities_forwarded(),
-            r2.total_infinities_forwarded(),
+            msg.iter().map(|m| m.infinities_forwarded).sum::<u64>(),
             "same cascade traffic regardless of transport"
         );
-        for (a, b) in r1.per_rank.iter().zip(&r2.per_rank) {
+        for (a, b) in r1.per_rank.iter().zip(&msg) {
             assert_eq!(a.engine.finite_hits, b.engine.finite_hits);
             assert_eq!(a.engine.cold_misses, b.engine.cold_misses);
             assert_eq!(a.infinities_forwarded, b.infinities_forwarded);
@@ -709,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_sampled_report_single_rank() {
+    fn naive_reports_single_rank() {
         let trace: Vec<Addr> = (0..300).map(|i| i % 20).collect();
         let (hist, report) = Analysis::new().mode(Mode::Naive).stats(true).run(&trace);
         assert_eq!(hist, analyze_naive(&trace));
@@ -717,13 +687,6 @@ mod tests {
         assert_eq!(report.ranks, 1);
         assert_eq!(report.per_rank.len(), 1);
         assert_eq!(report.per_rank[0].engine.finite_hits, hist.finite_total());
-
-        let (exact, report) = Analysis::new()
-            .mode(Mode::Sampled { rate_log2: 0 })
-            .stats(true)
-            .run(&trace);
-        assert_eq!(exact, analyze_naive(&trace), "rate 2^-0 is exact");
-        assert_eq!(report.unwrap().mode, "sampled");
     }
 
     #[test]
@@ -939,10 +902,6 @@ mod tests {
             );
             prop_assert_eq!(
                 base.clone().mode(Mode::Threads).run(&trace).0,
-                crate::parallel::parda_threads::<SplayTree>(&trace, &config)
-            );
-            prop_assert_eq!(
-                base.clone().mode(Mode::Msg).run(&trace).0,
                 crate::parallel::parda_msg::<SplayTree>(&trace, &config)
             );
             let reduction = Reduction::ShipToRankZero;

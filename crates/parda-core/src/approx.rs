@@ -31,9 +31,6 @@
 //! per-chunk or per-tenant sketches compose into the sketch of the
 //! concatenated trace (exactly for fixed-rate SHARDS and AET, approximately
 //! for fixed-size SHARDS where merging takes the minimum threshold).
-//!
-//! The deprecated [`sampled`](crate::sampled) module remains as a thin
-//! shim over the pow-2 subset of this machinery.
 
 use parda_hash::{fx_hash_u64, FxHashMap};
 use parda_hist::ReuseHistogram;
@@ -55,9 +52,9 @@ pub const AET_DEFAULT_RATE: f64 = 0.01;
 /// Spatial sampling rate: an address is monitored iff
 /// `fx_hash(addr) <= threshold`.
 ///
-/// Supports any rate in (0, 1] via [`SampleRate::from_rate`]; the legacy
-/// pow-2 constructor [`SampleRate::one_in_pow2`] produces bit-identical
-/// monitoring decisions to the historical `hash >> (64-k) == 0` check.
+/// Supports any rate in (0, 1] via [`SampleRate::from_rate`]; at a pow-2
+/// rate `2^-k` the monitoring decision is bit-identical to the historical
+/// `hash >> (64-k) == 0` check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SampleRate {
     threshold: u64,
@@ -69,20 +66,8 @@ impl SampleRate {
         threshold: u64::MAX,
     };
 
-    /// Rate `2^-k`. `k = 0` monitors everything (exact analysis).
-    pub fn one_in_pow2(k: u32) -> Self {
-        assert!(k < 63, "sampling rate 2^-{k} is degenerate");
-        if k == 0 {
-            Self::EXACT
-        } else {
-            Self {
-                threshold: (1u64 << (64 - k)) - 1,
-            }
-        }
-    }
-
-    /// Any rate in (0, 1] via threshold compare. For `rate = 2^-k` this is
-    /// exactly [`SampleRate::one_in_pow2`]`(k)`.
+    /// Any rate in (0, 1] via threshold compare. For `rate = 2^-k` the
+    /// threshold is exactly `2^(64-k) − 1`.
     pub fn from_rate(rate: f64) -> Self {
         assert!(
             rate.is_finite() && rate > 0.0 && rate <= 1.0,
@@ -118,12 +103,6 @@ impl SampleRate {
     /// The count scale factor `1/R` (exact for pow-2 rates).
     pub fn scale(self) -> f64 {
         TWO_POW_64 / (self.threshold as f64 + 1.0)
-    }
-
-    /// The inverse rate `1/R` rounded to an integer (legacy pow-2 API;
-    /// exact for pow-2 rates).
-    pub fn inverse(self) -> u64 {
-        self.scale().round() as u64
     }
 
     /// `true` if `addr` is monitored under this rate.
@@ -998,13 +977,11 @@ mod tests {
     }
 
     #[test]
-    fn from_rate_matches_one_in_pow2() {
-        for k in [0u32, 1, 3, 7, 20, 40] {
-            assert_eq!(
-                SampleRate::from_rate(0.5f64.powi(k as i32)),
-                SampleRate::one_in_pow2(k),
-                "k={k}"
-            );
+    fn from_rate_matches_the_pow2_top_bits_check() {
+        assert_eq!(SampleRate::from_rate(1.0), SampleRate::EXACT);
+        for k in [1u32, 3, 7, 20, 40] {
+            let rate = SampleRate::from_rate(0.5f64.powi(k as i32));
+            assert_eq!(rate.threshold(), (1u64 << (64 - k)) - 1, "k={k}");
         }
     }
 

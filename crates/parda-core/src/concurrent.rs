@@ -1,11 +1,10 @@
 //! Thread-aware shared-cache analysis.
 //!
-//! [`crate::shared`] models *co-running programs*: separate address spaces,
-//! disambiguated by tagging. This module models *threads of one program*:
-//! a single address space where the same location touched by two threads is
-//! true sharing — tagging would destroy exactly the effect under study, so
+//! This module models *threads of one program*: a single address space
+//! where the same location touched by two threads is true sharing, so
 //! thread identity travels in a side array ([`ThreadedTrace`]) instead of
-//! in the address bits.
+//! in the address bits. Co-running programs with separate address spaces
+//! are the special case of streams that share no address.
 //!
 //! The pipeline:
 //!
@@ -17,15 +16,14 @@
 //!    stream, attributing every distance to the issuing thread, and solo
 //!    passes over each thread's private stream.
 //! 3. [`recommend_partition`] feeds the solo MRCs into
-//!    [`crate::shared::optimal_partition`] to recommend a static partition
-//!    of the shared cache.
+//!    [`optimal_partition`] to recommend a static partition of the shared
+//!    cache.
 //!
 //! The shared histogram is exact: its hit count at capacity `C` equals a
 //! fully-associative LRU simulation of the interleaved trace (validated in
 //! the tests against `parda-cachesim`).
 
 use crate::seq::{analyze_sequential, analyze_with};
-use crate::shared::optimal_partition;
 use parda_hash::{FxHashMap, FxHashSet};
 use parda_hist::ReuseHistogram;
 use parda_trace::{Addr, ThreadedTrace, Tid};
@@ -135,9 +133,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Merge per-thread streams into one thread-tagged shared stream under the
-/// given model. Thread `i` of `traces` becomes TID `i`. Unlike
-/// [`crate::shared::interleave`], addresses are **not** tagged: the streams
-/// share one address space, and cross-thread reuse is the point.
+/// given model. Thread `i` of `traces` becomes TID `i`. Addresses are
+/// **not** tagged: the streams share one address space, and cross-thread
+/// reuse is the point.
 pub fn interleave_threads(traces: &[&[Addr]], model: &InterleaveModel) -> ThreadedTrace {
     assert!(!traces.is_empty(), "need at least one thread");
     let total: usize = traces.iter().map(|t| t.len()).sum();
@@ -294,7 +292,7 @@ pub struct PartitionPlan {
 
 /// Recommend a static partition of `capacity` cache lines among the
 /// threads, minimizing total predicted misses from their solo MRCs
-/// (the Soft-OLP/UCP decision from [`crate::shared::optimal_partition`]).
+/// (the Soft-OLP/UCP decision from [`optimal_partition`]).
 pub fn recommend_partition(
     per_thread_solo: &[ReuseHistogram],
     capacity: u64,
@@ -308,6 +306,60 @@ pub fn recommend_partition(
         allocation,
         predicted_misses,
     }
+}
+
+/// Optimal static partition of `capacity` cache lines among programs with
+/// the given solo MRCs, at `granularity`-line steps. Every program receives
+/// at least one granule. Returns `(allocation, total_misses)`.
+///
+/// Dynamic program over programs × granules: O(k · (C/g)²).
+pub fn optimal_partition(
+    histograms: &[&ReuseHistogram],
+    capacity: u64,
+    granularity: u64,
+) -> (Vec<u64>, u64) {
+    let k = histograms.len();
+    assert!(k > 0, "need at least one program");
+    assert!(
+        granularity > 0 && capacity >= granularity * k as u64,
+        "capacity too small"
+    );
+    let granules = (capacity / granularity) as usize;
+
+    // dp[i][g] = min total misses using programs 0..=i over g granules,
+    // each program ≥ 1 granule.
+    const INF: u64 = u64::MAX;
+    let miss = |i: usize, g: usize| histograms[i].miss_count(g as u64 * granularity);
+    let mut dp = vec![vec![INF; granules + 1]; k];
+    let mut choice = vec![vec![0usize; granules + 1]; k];
+    for g in 1..=granules {
+        dp[0][g] = miss(0, g);
+        choice[0][g] = g;
+    }
+    for i in 1..k {
+        for g in (i + 1)..=granules {
+            for own in 1..=(g - i) {
+                let rest = dp[i - 1][g - own];
+                if rest == INF {
+                    continue;
+                }
+                let total = rest.saturating_add(miss(i, own));
+                if total < dp[i][g] {
+                    dp[i][g] = total;
+                    choice[i][g] = own;
+                }
+            }
+        }
+    }
+    // Backtrack.
+    let mut alloc = vec![0u64; k];
+    let mut g = granules;
+    for i in (0..k).rev() {
+        let own = choice[i][g];
+        alloc[i] = own as u64 * granularity;
+        g -= own;
+    }
+    (alloc, dp[k - 1][granules])
 }
 
 /// Default partition granularity for a capacity: 1/64th of the cache,
@@ -495,6 +547,57 @@ mod tests {
         assert_eq!(plan.allocation, vec![64, 1024]);
         assert_eq!(plan.predicted_misses, 64 + 1024);
         assert_eq!(plan.capacity, 1088);
+    }
+
+    #[test]
+    fn optimal_partition_prefers_the_cacheable_program() {
+        // Program A: loop over 64 lines (cliff at 64). Program B: loop over
+        // 1024 lines (cliff at 1024). With 1088 lines total, the optimum
+        // gives each exactly its working set.
+        let a_trace: Vec<u64> = (0..6400).map(|i| i % 64).collect();
+        let b_trace: Vec<u64> = (0..10240).map(|i| 5000 + i % 1024).collect();
+        let ha = analyze_sequential::<SplayTree>(&a_trace, None);
+        let hb = analyze_sequential::<SplayTree>(&b_trace, None);
+        let (alloc, misses) = optimal_partition(&[&ha, &hb], 1088, 64);
+        assert_eq!(alloc, vec![64, 1024]);
+        assert_eq!(misses, 64 + 1024, "only cold misses remain");
+    }
+
+    #[test]
+    fn optimal_partition_matches_exhaustive_for_two() {
+        let a_trace: Vec<u64> = (0..3000).map(|i| i % 37).collect();
+        let b_trace: Vec<u64> = (0..3000).map(|i| 500 + (i * 7) % 211).collect();
+        let ha = analyze_sequential::<SplayTree>(&a_trace, None);
+        let hb = analyze_sequential::<SplayTree>(&b_trace, None);
+        let capacity = 256u64;
+        let gran = 16u64;
+        let (_, dp_misses) = optimal_partition(&[&ha, &hb], capacity, gran);
+        let mut best = u64::MAX;
+        let mut c = gran;
+        while c < capacity {
+            best = best.min(ha.miss_count(c) + hb.miss_count(capacity - c));
+            c += gran;
+        }
+        assert_eq!(dp_misses, best);
+    }
+
+    #[test]
+    fn three_way_partition_allocates_everything() {
+        let t: Vec<Vec<u64>> = (0..3)
+            .map(|p| {
+                (0..2000u64)
+                    .map(|i| p * 10_000 + i % (50 * (p + 1)))
+                    .collect()
+            })
+            .collect();
+        let hists: Vec<ReuseHistogram> = t
+            .iter()
+            .map(|tr| analyze_sequential::<SplayTree>(tr, None))
+            .collect();
+        let refs: Vec<&ReuseHistogram> = hists.iter().collect();
+        let (alloc, _) = optimal_partition(&refs, 512, 32);
+        assert_eq!(alloc.iter().sum::<u64>(), 512);
+        assert!(alloc.iter().all(|&a| a >= 32));
     }
 
     proptest! {

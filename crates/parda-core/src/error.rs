@@ -1,7 +1,7 @@
 //! Error taxonomy and fault policy for the analysis pipeline.
 //!
 //! The fault-tolerant entry points ([`crate::Analysis::run_file`],
-//! [`crate::parallel::parda_threads_faulted`]) return [`PardaError`]
+//! [`crate::parallel::parda_threads_with_stats`]) return [`PardaError`]
 //! instead of a bare [`std::io::Error`], so callers — the CLI in
 //! particular — can distinguish *corrupt input* from *I/O failure* from
 //! *internal worker faults* and react per class (exit codes, retries,
@@ -26,18 +26,19 @@ pub enum PardaError {
     /// CRC mismatch, truncated frame, malformed varint. Under a lossy
     /// [`Degradation`] policy most of these are repaired instead.
     Corrupt(String),
-    /// A rank worker panicked and every rescue attempt (scalar re-analysis
-    /// with backoff) panicked too. `attempts` counts the initial run plus
-    /// all retries.
+    /// A worker panicked on a work item and every rescue attempt (scalar
+    /// re-analysis with backoff) panicked too. `attempts` counts the
+    /// initial run plus all retries.
     WorkerPanic {
-        /// The rank whose chunk analysis could not be completed.
+        /// The rank owning the work item whose analysis could not be
+        /// completed.
         rank: usize,
         /// Total attempts made (1 initial + retries).
         attempts: u32,
     },
-    /// A rank failed to publish its result within the watchdog deadline.
+    /// A work item was not published within the watchdog deadline.
     Stall {
-        /// The rank the cascade fold was waiting on.
+        /// The rank owning the item the cascade fold was waiting on.
         rank: usize,
         /// The configured deadline that expired.
         deadline: Duration,
@@ -113,19 +114,20 @@ impl From<io::Error> for PardaError {
 /// Recovery policy for a fault-tolerant analysis run.
 ///
 /// The default is conservative: strict input validation, two rescue
-/// retries with a 10 ms backoff, no watchdog (waits are unbounded, as in
-/// the non-faulted drivers).
+/// retries with a 10 ms backoff, no watchdog (cascade waits are
+/// unbounded).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultPolicy {
     /// How to treat corrupt input (see [`Degradation`]).
     pub degradation: Degradation,
-    /// How many times a panicked rank is re-analyzed (with the scalar
-    /// reference engine) before giving up with [`PardaError::WorkerPanic`].
+    /// How many times a panicked work item is re-analyzed (with the
+    /// scalar reference engine) before giving up with
+    /// [`PardaError::WorkerPanic`].
     pub max_retries: u32,
     /// Pause between rescue attempts.
     pub retry_backoff: Duration,
-    /// Deadline for each cascade wait on a rank slot; `None` waits
-    /// forever. On expiry the run aborts with [`PardaError::Stall`].
+    /// Deadline for each cascade wait on a work item's slot; `None`
+    /// waits forever. On expiry the run aborts with [`PardaError::Stall`].
     pub watchdog: Option<Duration>,
 }
 

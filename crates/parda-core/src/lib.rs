@@ -6,16 +6,15 @@
 //! |---|---|
 //! | Algorithm 1 — tree-based sequential analysis (Olken) | [`seq::analyze_sequential`], [`Engine::process_chunk`] |
 //! | Algorithm 2 — tree distance query | `parda_tree::ReuseTree::distance` |
-//! | Algorithm 3 — the Parda parallel algorithm | [`parallel::parda_msg`], [`parallel::parda_threads`] |
+//! | Algorithm 3 — the Parda parallel algorithm | one driver, [`parallel::parda_threads_with_stats`] (work-stealing sub-chunks, panic rescue, watchdog); [`parallel::parda_msg`] is the message-passing oracle |
 //! | Algorithm 4 — space-optimized infinity processing | [`Engine::process_infinities`] |
 //! | Algorithms 5–6 — multi-phase streaming analysis | [`phased::parda_phased`] |
 //! | Algorithm 7 — bounded (cache-capped) analysis | `bound` option on every engine |
 //! | §III-A — naïve stack algorithm | [`seq::analyze_naive`] |
 //! | §IV-D state reduction — departs from the paper: rank 0 appends each rank's run, all newer than its own state, instead of a merge on rank np−1 shipped back | [`Engine::import_state`] |
 //! | §VII object-level applications | [`object::analyze_by_region`] |
-//! | §VII sampling combination | [`approx`] (SHARDS/AET sketches; legacy shim in [`sampled`]) |
-//! | §I cache sharing & partitioning | [`shared::analyze_corun`], [`shared::optimal_partition`] |
-//! | §I thread-aware shared-cache analysis | [`concurrent::analyze_concurrent`], [`concurrent::recommend_partition`] |
+//! | §VII sampling combination | [`approx`] (SHARDS/AET sketches) |
+//! | §I cache sharing & partitioning | [`concurrent::analyze_concurrent`], [`concurrent::recommend_partition`], [`concurrent::optimal_partition`] |
 //! | §VII phase detection | [`window::detect_phases`] |
 //!
 //! # Quick start
@@ -55,10 +54,8 @@ pub mod error;
 pub mod object;
 pub mod parallel;
 pub mod phased;
-pub mod sampled;
 pub mod seq;
 pub mod session;
-pub mod shared;
 pub mod window;
 
 pub use analysis::{Analysis, Mode};
@@ -69,64 +66,7 @@ pub use concurrent::{
 };
 pub use engine::{Engine, MissSink};
 pub use error::{FaultPolicy, PardaError};
-pub use parallel::{parda_threads_faulted, PardaConfig};
+pub use parallel::PardaConfig;
 pub use parda_obs::Report;
 pub use parda_trace::Degradation;
 pub use session::{SessionAnalysis, SessionStep};
-
-use parda_hist::ReuseHistogram;
-use parda_trace::Addr;
-use parda_tree::TreeKind;
-
-/// Run the sequential tree-based analyzer with a runtime-selected tree.
-///
-/// Thin wrapper over [`Analysis`] (`.mode(Mode::Seq)`), kept for callers
-/// that don't need the builder.
-pub fn analyze_sequential_kind(
-    trace: &[Addr],
-    kind: TreeKind,
-    bound: Option<u64>,
-) -> ReuseHistogram {
-    Analysis::new()
-        .tree(kind)
-        .mode(Mode::Seq)
-        .bound(bound)
-        .run(trace)
-        .0
-}
-
-/// Run the Parda parallel analyzer (thread-cascade flavour) with a
-/// runtime-selected tree.
-///
-/// Thin wrapper over [`Analysis`] (`.mode(Mode::Threads)`).
-pub fn parda_kind(trace: &[Addr], kind: TreeKind, config: &PardaConfig) -> ReuseHistogram {
-    Analysis::new()
-        .tree(kind)
-        .mode(Mode::Threads)
-        .ranks(config.ranks)
-        .bound(config.bound)
-        .space_optimized(config.space_optimized)
-        .subchunk_refs(config.subchunk_refs)
-        .run(trace)
-        .0
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn kind_dispatchers_agree() {
-        let trace: Vec<Addr> = (0..500).map(|i| (i * 7) % 97).collect();
-        let splay = analyze_sequential_kind(&trace, TreeKind::Splay, None);
-        let avl = analyze_sequential_kind(&trace, TreeKind::Avl, None);
-        let treap = analyze_sequential_kind(&trace, TreeKind::Treap, None);
-        let vector = analyze_sequential_kind(&trace, TreeKind::Vector, None);
-        assert_eq!(splay, avl);
-        assert_eq!(splay, treap);
-        assert_eq!(splay, vector);
-
-        let cfg = PardaConfig::with_ranks(3);
-        assert_eq!(parda_kind(&trace, TreeKind::Avl, &cfg), splay);
-    }
-}

@@ -7,14 +7,17 @@
 //! (space-optimized per Algorithm 4), misses are forwarded again, and
 //! whatever reaches rank 0 unresolved is a global (compulsory) miss.
 //!
-//! Two drivers produce identical histograms:
+//! [`parda_threads_with_stats`] is the one shared-memory driver: scoped
+//! worker threads analyze work-stealing sub-chunks right to left under
+//! panic isolation while the caller folds the cascade, rescuing a panicked
+//! item on the scalar engine and bounding every wait by the
+//! [`FaultPolicy`] watchdog. [`parda_threads`] is its plain front end.
 //!
-//! * [`parda_msg`] — the faithful message-passing formulation: one thread
-//!   per rank over [`parda_comm::World`], with the exact send/receive
-//!   rounds of Algorithm 3 (rank `p` performs `np − p` rounds).
-//! * [`parda_threads`] — a shared-memory formulation: chunks are analyzed
-//!   in parallel (rayon), then the cascade is folded sequentially. Same
-//!   operation order per engine, lower overhead; used by the benchmarks.
+//! [`parda_msg`] is the paper-faithful message-passing formulation — one
+//! thread per rank over [`parda_comm::World`], with the exact send/receive
+//! rounds of Algorithm 3 (rank `p` performs `np − p` rounds). It is kept
+//! as the oracle the driver is tested against; both produce identical
+//! histograms.
 
 use crate::engine::{Engine, MissSink};
 use crate::error::{FaultPolicy, PardaError};
@@ -134,9 +137,9 @@ struct WorkItem<'a> {
 
 /// Subdivide each rank's chunk into work-stealing sub-chunks. Subdivision
 /// only applies in the space-optimized unbounded mode: bounded analysis
-/// pins ∞-collapse decisions to the partition (both drivers must agree
-/// exactly), and the unoptimized ablation ties its `next_ts` bookkeeping
-/// to one item per rank.
+/// pins ∞-collapse decisions to the partition (the driver must agree
+/// exactly with [`parda_msg`]), and the unoptimized ablation ties its
+/// `next_ts` bookkeeping to one item per rank.
 fn build_items<'a>(
     chunks: &[&'a [Addr]],
     starts: &[u64],
@@ -162,21 +165,6 @@ fn build_items<'a>(
         }
     }
     items
-}
-
-/// One item per rank — no subdivision. Used by the fault-tolerant driver,
-/// whose rescue/watchdog bookkeeping is per rank.
-fn rank_items<'a>(chunks: &[&'a [Addr]], starts: &[u64]) -> Vec<WorkItem<'a>> {
-    chunks
-        .iter()
-        .zip(starts)
-        .enumerate()
-        .map(|(p, (&chunk, &start))| WorkItem {
-            chunk,
-            start,
-            owner: p,
-        })
-        .collect()
 }
 
 /// Message-passing Parda: the literal Algorithm 3 over a thread-backed
@@ -269,99 +257,63 @@ pub fn parda_msg_with_stats<T: ReuseTree + Default>(
     (total, ranks)
 }
 
-/// Shared-memory Parda: chunk analysis fans out over rayon, the infinity
-/// cascade folds right-to-left on the caller thread.
+/// Shared-memory Parda with the default [`FaultPolicy`]: the histogram of
+/// [`parda_threads_with_stats`].
 ///
 /// Produces a histogram identical to [`parda_msg`] (property-tested): the
 /// sequence of operations applied to each rank's engine is the same, only
 /// the transport differs.
+///
+/// # Panics
+///
+/// With the driver's error when a worker panic survives every rescue
+/// retry.
 pub fn parda_threads<T: ReuseTree + Default + Send>(
     trace: &[Addr],
     config: &PardaConfig,
 ) -> ReuseHistogram {
-    parda_threads_with_stats::<T>(trace, config).0
+    match parda_threads_with_stats::<T>(trace, config, &FaultPolicy::default()) {
+        Ok((hist, _, _)) => hist,
+        Err(e) => panic!("{e}"),
+    }
 }
 
-/// [`parda_threads`] with the per-rank observability breakdown.
+/// The shared-memory Algorithm 3 driver, with the per-rank observability
+/// breakdown and the recovery tally.
 ///
-/// In the space-optimized unbounded mode each rank's chunk is further
-/// subdivided into up to [`MAX_PARTS_PER_RANK`] work-stealing sub-chunks
-/// (grain [`PardaConfig::subchunk_refs`]); every sub-chunk is an extra
-/// virtual rank in the cascade, so a rank's metrics can report several
+/// In the space-optimized unbounded mode each rank's chunk is subdivided
+/// into up to [`MAX_PARTS_PER_RANK`] work-stealing sub-chunks (grain
+/// [`PardaConfig::subchunk_refs`]); every sub-chunk is an extra virtual
+/// rank in the cascade, so a rank's metrics can report several
 /// `cascade_rounds` whose `round_infinity_lens` sum to what
 /// [`parda_msg_with_stats`] forwards in total. Timing fields accumulate
 /// across a rank's items.
-pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
-    trace: &[Addr],
-    config: &PardaConfig,
-) -> (ReuseHistogram, Vec<RankMetrics>) {
-    let np = config.ranks.max(1);
-    if np == 1 {
-        let (hist, rank) = crate::seq::analyze_sequential_with_stats::<T>(trace, config.bound);
-        return (hist, vec![rank]);
-    }
-    let chunks = chunk_slice(trace, np);
-    let starts = chunk_starts(&chunks);
-    let items = build_items(&chunks, &starts, config);
-    let n = items.len();
-
-    // Pipelined schedule: workers claim items *right-to-left* off a shared
-    // counter and publish each finished engine into its item's slot; the
-    // caller thread folds the cascade right-to-left, blocking only on the
-    // slot it needs next. Because the cascade consumes the rightmost item
-    // first and workers also finish right-to-left, the fold of an item's
-    // infinity stream overlaps the still-running chunk analysis of items
-    // to its left — the global barrier between "phase 1" and "phase 2"
-    // (the serial Figure-4 tail) is gone. Subdivision keeps per-item trees
-    // small (cache-resident) and lets an idle worker steal the tail of a
-    // slow rank instead of waiting at the rank boundary.
-    let slots: Vec<RankSlot<ChunkResult<T>>> = (0..n).map(|_| RankSlot::default()).collect();
-    let claim = AtomicUsize::new(0);
-    let workers = worker_count(np);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let k = claim.fetch_add(1, Ordering::Relaxed);
-                if k >= n {
-                    break;
-                }
-                let i = n - 1 - k;
-                let item = &items[i];
-                slots[i].publish(analyze_rank::<T>(item.chunk, item.start, config, false));
-            });
-        }
-
-        // The claim closure cannot fail — `Infallible` makes that
-        // type-level: the error arm is an empty match, not a runtime
-        // assertion. The fault-tolerant path is [`parda_threads_faulted`].
-        let folded: Result<_, std::convert::Infallible> =
-            fold_cascade(&items, np, config, |i| Ok(slots[i].take()));
-        match folded {
-            Ok(out) => out,
-            Err(e) => match e {},
-        }
-    })
-}
-
-/// Fault-tolerant shared-memory Parda: [`parda_threads`] with
-/// panic-isolated workers, bounded rescue retries, and an optional
-/// watchdog on the cascade waits.
 ///
-/// Each rank's chunk analysis runs under [`catch_unwind`]; a panicking
-/// worker publishes a failure marker instead of killing the run, and the
-/// cascade fold re-analyzes that rank on the caller thread with the
+/// Workers claim items *right-to-left* off a shared counter and publish
+/// each finished engine into the item's slot; the caller thread folds the
+/// cascade right-to-left, blocking only on the slot it needs next. Because
+/// the cascade consumes the rightmost item first and workers also finish
+/// right-to-left, the fold of an item's infinity stream overlaps the
+/// still-running analysis of items to its left — there is no barrier
+/// between chunk analysis and the cascade (the serial Figure-4 tail).
+/// Subdivision keeps per-item trees small (cache-resident) and lets an
+/// idle worker steal the tail of a slow rank.
+///
+/// Each item's analysis runs under [`catch_unwind`]; a panicking worker
+/// publishes a failure marker instead of killing the run, and the fold
+/// re-analyzes that item's sub-slice on the caller thread with the
 /// *scalar* reference engine ([`Engine::process_chunk_scalar`] — the
 /// simplest, most-audited code path), retrying up to
 /// [`FaultPolicy::max_retries`] times with [`FaultPolicy::retry_backoff`]
 /// between attempts. Because the scalar engine is bit-identical to the
 /// batched one, a rescued run produces exactly the histogram the
 /// unfaulted run would have. Exhausted retries yield
-/// [`PardaError::WorkerPanic`]; a rank that never publishes within
+/// [`PardaError::WorkerPanic`]; an item that is not published within
 /// [`FaultPolicy::watchdog`] yields [`PardaError::Stall`] instead of a
-/// hang. Recovery activity is tallied in the returned
-/// [`RecoveryMetrics`] (`rank_retries` / `rank_rescues`).
-pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
+/// hang. Both name the item's owning rank. Recovery activity is tallied
+/// in the returned [`RecoveryMetrics`] (`rank_retries` / `rank_rescues`,
+/// counted per item).
+pub fn parda_threads_with_stats<T: ReuseTree + Default + Send>(
     trace: &[Addr],
     config: &PardaConfig,
     policy: &FaultPolicy,
@@ -369,11 +321,9 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
     let np = config.ranks.max(1);
     let chunks = chunk_slice(trace, np);
     let starts = chunk_starts(&chunks);
-    // Rank granularity (no subdivision): rescue, retry accounting, and the
-    // stall watchdog are all per rank.
-    let items = rank_items(&chunks, &starts);
-    let slots: Vec<RankSlot<Result<ChunkResult<T>, RankPanic>>> =
-        (0..np).map(|_| RankSlot::default()).collect();
+    let items = build_items(&chunks, &starts, config);
+    let n = items.len();
+    let slots: Vec<ItemSlot<T>> = (0..n).map(|_| ItemSlot::default()).collect();
     let claim = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let workers = worker_count(np);
@@ -385,10 +335,10 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
                     break;
                 }
                 let k = claim.fetch_add(1, Ordering::Relaxed);
-                if k >= np {
+                if k >= n {
                     break;
                 }
-                let p = np - 1 - k;
+                let i = n - 1 - k;
                 // The outer catch_unwind covers the publish itself: a
                 // panic at the `parallel::slot_publish` site poisons the
                 // slot lock *after* the value is stored, and the cascade
@@ -399,30 +349,22 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
                     let analyzed = catch_unwind(AssertUnwindSafe(|| {
                         parda_failpoint::failpoint!("parallel::worker");
                         parda_failpoint::failpoint!("parallel::worker_stall");
-                        analyze_rank::<T>(chunks[p], starts[p], config, false)
+                        analyze_item::<T>(&items[i], config, false)
                     }));
-                    let mut slot = slots[p].lock();
-                    *slot = Some(analyzed.map_err(|_| RankPanic));
+                    let mut slot = slots[i].lock();
+                    *slot = Some(analyzed.map_err(|_| ItemPanic));
                     parda_failpoint::failpoint!("parallel::slot_publish");
                 }));
-                slots[p].ready.notify_one();
+                slots[i].ready.notify_one();
             });
         }
 
         let mut recovery = RecoveryMetrics::default();
-        let folded = fold_cascade(&items, np, config, |p| {
-            claim_rank(
-                &slots[p],
-                chunks[p],
-                starts[p],
-                p,
-                config,
-                policy,
-                &mut recovery,
-            )
+        let folded = fold_cascade(&items, np, config, |i| {
+            claim_item(&slots[i], &items[i], config, policy, &mut recovery)
         });
         if folded.is_err() {
-            // Stop workers from claiming further chunks; in-flight chunks
+            // Stop workers from claiming further items; in-flight items
             // finish and are discarded.
             abort.store(true, Ordering::Relaxed);
         }
@@ -430,96 +372,79 @@ pub fn parda_threads_faulted<T: ReuseTree + Default + Send>(
     })
 }
 
-/// One rank's chunk analysis: build an engine, process the chunk
+/// One item's chunk analysis: build an engine, process the sub-slice
 /// (batched or scalar), return it with the local infinities and wall
 /// time. Shared by the workers and the rescue path.
-fn analyze_rank<T: ReuseTree + Default>(
-    chunk: &[Addr],
-    start: u64,
+fn analyze_item<T: ReuseTree + Default>(
+    item: &WorkItem<'_>,
     config: &PardaConfig,
     scalar: bool,
 ) -> ChunkResult<T> {
     let sw = Stopwatch::start();
-    let mut engine: Engine<T> = Engine::new(config.bound, chunk.len());
+    let mut engine: Engine<T> = Engine::new(config.bound, item.chunk.len());
     let mut local_inf = Vec::new();
+    let sink = MissSink::Forward(&mut local_inf);
     if scalar {
-        engine.process_chunk_scalar(chunk, start, MissSink::Forward(&mut local_inf));
+        engine.process_chunk_scalar(item.chunk, item.start, sink);
     } else {
-        engine.process_chunk(chunk, start, MissSink::Forward(&mut local_inf));
+        engine.process_chunk(item.chunk, item.start, sink);
     }
     (engine, local_inf, sw.ns())
 }
 
-/// Claim rank `p`'s result for the fault-tolerant cascade: wait (with the
-/// policy watchdog), and if the worker panicked, rescue the rank by
-/// re-analyzing its chunk with the scalar engine under bounded retries.
-#[allow(clippy::too_many_arguments)]
-fn claim_rank<T: ReuseTree + Default>(
-    slot: &RankSlot<Result<ChunkResult<T>, RankPanic>>,
-    chunk: &[Addr],
-    start: u64,
-    rank: usize,
+/// Claim an item's result for the cascade: wait (with the policy
+/// watchdog), and if the worker panicked, rescue the item by re-analyzing
+/// its sub-slice with the scalar engine under bounded retries. Errors name
+/// the item's owning rank.
+fn claim_item<T: ReuseTree + Default>(
+    slot: &ItemSlot<T>,
+    item: &WorkItem<'_>,
     config: &PardaConfig,
     policy: &FaultPolicy,
     recovery: &mut RecoveryMetrics,
 ) -> Result<(ChunkResult<T>, u64), PardaError> {
-    let (outcome, wait_ns) = match slot.take_deadline(policy.watchdog) {
-        Some(v) => v,
-        None => {
-            return Err(PardaError::Stall {
-                rank,
-                deadline: policy
-                    .watchdog
-                    .expect("deadline exists when take times out"),
-            })
-        }
+    let rank = item.owner;
+    let Some((outcome, wait_ns)) = slot.take_deadline(policy.watchdog) else {
+        return Err(PardaError::Stall {
+            rank,
+            deadline: policy
+                .watchdog
+                .expect("deadline exists when take times out"),
+        });
     };
-    match outcome {
-        Ok(result) => Ok((result, wait_ns)),
-        Err(RankPanic) => {
-            let mut attempts = 1u32; // the worker's attempt
-            loop {
-                if attempts > policy.max_retries {
-                    return Err(PardaError::WorkerPanic { rank, attempts });
-                }
-                attempts += 1;
-                recovery.rank_retries += 1;
-                if !policy.retry_backoff.is_zero() {
-                    std::thread::sleep(policy.retry_backoff);
-                }
-                match catch_unwind(AssertUnwindSafe(|| {
-                    analyze_rank::<T>(chunk, start, config, true)
-                })) {
-                    Ok(result) => {
-                        recovery.rank_rescues += 1;
-                        return Ok((result, wait_ns));
-                    }
-                    Err(_) => continue,
-                }
-            }
+    if let Ok(result) = outcome {
+        return Ok((result, wait_ns));
+    }
+    let mut attempts = 1u32; // the worker's attempt
+    while attempts <= policy.max_retries {
+        attempts += 1;
+        recovery.rank_retries += 1;
+        if !policy.retry_backoff.is_zero() {
+            std::thread::sleep(policy.retry_backoff);
+        }
+        if let Ok(result) = catch_unwind(AssertUnwindSafe(|| analyze_item::<T>(item, config, true)))
+        {
+            recovery.rank_rescues += 1;
+            return Ok((result, wait_ns));
         }
     }
+    Err(PardaError::WorkerPanic { rank, attempts })
 }
 
-/// The right-to-left cascade fold shared by [`parda_threads`] and
-/// [`parda_threads_faulted`]: each item absorbs everything its right
+/// The right-to-left cascade fold: each item absorbs everything its right
 /// neighbour would have sent over all Algorithm 3 rounds — that item's
 /// own local infinities followed by the survivors of what it absorbed
 /// from *its* right. `claim(i)` produces item `i`'s finished chunk
-/// analysis plus the wait time, blocking / rescuing as the driver
-/// dictates. Items are virtual ranks; metrics are grouped under each
-/// item's owning rank (`0..np`), with timings accumulated and per-round
-/// vectors pushed per absorbed stream.
-///
-/// Generic over the claim error `E` so the plain driver can instantiate
-/// it with [`std::convert::Infallible`] and discharge the error arm with
-/// an empty match.
-fn fold_cascade<T: ReuseTree + Default, E>(
+/// analysis plus the wait time, blocking and rescuing as needed. Items
+/// are virtual ranks; metrics are grouped under each item's owning rank
+/// (`0..np`), with timings accumulated and per-round vectors pushed per
+/// absorbed stream.
+fn fold_cascade<T: ReuseTree + Default>(
     items: &[WorkItem<'_>],
     np: usize,
     config: &PardaConfig,
-    mut claim: impl FnMut(usize) -> Result<(ChunkResult<T>, u64), E>,
-) -> Result<(ReuseHistogram, Vec<RankMetrics>), E> {
+    mut claim: impl FnMut(usize) -> Result<(ChunkResult<T>, u64), PardaError>,
+) -> Result<(ReuseHistogram, Vec<RankMetrics>), PardaError> {
     let mut metrics: Vec<RankMetrics> = (0..np)
         .map(|p| RankMetrics {
             rank: p,
@@ -536,8 +461,7 @@ fn fold_cascade<T: ReuseTree + Default, E>(
     // own local infinities are prepended by appending the survivors to
     // them — no per-item forwarding allocation.
     let mut stream: Vec<Addr> = Vec::new();
-    for i in (1..items.len()).rev() {
-        let item = &items[i];
+    for (i, item) in items.iter().enumerate().rev() {
         let ((mut engine, mut own_inf, chunk_ns), wait_ns) = claim(i)?;
         let rm = &mut metrics[item.owner];
         rm.chunk_ns += chunk_ns;
@@ -563,71 +487,49 @@ fn fold_cascade<T: ReuseTree + Default, E>(
         }
         rm.cascade_ns += sw.ns();
         own_inf.append(&mut stream);
-        rm.infinities_forwarded += own_inf.len() as u64;
-        stream = own_inf;
+        if i == 0 {
+            // Leftmost item (rank 0's first sub-chunk): its own local
+            // infinities and every unresolved survivor are global
+            // (compulsory) misses.
+            engine.record_global_infinities(own_inf.len() as u64);
+        } else {
+            rm.infinities_forwarded += own_inf.len() as u64;
+            stream = own_inf;
+        }
         rm.engine.merge(engine.metrics());
         total.merge(engine.histogram());
     }
 
-    // Leftmost item (rank 0's first sub-chunk): its own local infinities
-    // and all unresolved survivors are authoritative global infinities.
-    let ((mut engine0, own0, chunk_ns), wait_ns) = claim(0)?;
-    let rm = &mut metrics[0];
-    rm.chunk_ns += chunk_ns;
-    rm.cascade_wait_ns += wait_ns;
-    engine0.record_global_infinities(own0.len() as u64);
-    if !stream.is_empty() {
-        rm.cascade_rounds += 1;
-        rm.round_infinity_lens.push(stream.len() as u64);
-    }
-    let sw = Stopwatch::start();
-    if config.space_optimized {
-        let received = !stream.is_empty();
-        let stats = engine0.process_infinities_in_place(&mut stream);
-        if received {
-            rm.record_round(&stats);
-        }
-    } else {
-        let item = &items[0];
-        let next_ts = item.start + item.chunk.len() as u64;
-        let incoming = std::mem::take(&mut stream);
-        engine0.process_infinities_unoptimized(&incoming, next_ts, &mut stream);
-        if !incoming.is_empty() {
-            rm.record_round(&CascadeRoundStats::default());
-        }
-    }
-    engine0.record_global_infinities(stream.len() as u64);
-    rm.cascade_ns += sw.ns();
-    rm.engine.merge(engine0.metrics());
-    total.merge(engine0.histogram());
-
     Ok((total, metrics))
 }
 
-/// A rank's finished chunk analysis: the engine, its local infinities, and
-/// the chunk wall time in nanoseconds.
+/// An item's finished chunk analysis: the engine, its local infinities,
+/// and the chunk wall time in nanoseconds.
 type ChunkResult<T> = (Engine<T>, Vec<Addr>, u64);
 
-/// Marker for a rank whose chunk-analysis worker panicked; the cascade
-/// side rescues the rank by re-analyzing the chunk itself.
-struct RankPanic;
+/// Marker for an item whose chunk-analysis worker panicked; the cascade
+/// side rescues the item by re-analyzing its sub-slice itself.
+struct ItemPanic;
 
-/// Per-rank completion slot of the pipelined schedule: workers publish a
-/// finished value here; the cascade thread blocks on `take` (or
-/// `take_deadline`) for the one rank it needs next.
+/// What a worker publishes for one item.
+type Published<T> = Result<ChunkResult<T>, ItemPanic>;
+
+/// Per-item completion slot: a worker publishes the finished analysis (or
+/// [`ItemPanic`]) here; the cascade thread blocks in
+/// [`ItemSlot::take_deadline`] on the one item it needs next.
 ///
 /// All lock acquisitions shed poison ([`Mutex::lock`] →
 /// `unwrap_or_else(PoisonError::into_inner)`): a worker that panicked
 /// while holding the slot — e.g. via the `parallel::slot_publish`
-/// failpoint — must not take the cascade down with it, and an
-/// `Option<V>` is always observable in a coherent state (the value is
-/// written before any panic window).
-struct RankSlot<V> {
-    result: Mutex<Option<V>>,
+/// failpoint — must not take the cascade down with it, and the `Option`
+/// is always observable in a coherent state (the value is written before
+/// any panic window).
+struct ItemSlot<T: ReuseTree> {
+    result: Mutex<Option<Published<T>>>,
     ready: Condvar,
 }
 
-impl<V> Default for RankSlot<V> {
+impl<T: ReuseTree> Default for ItemSlot<T> {
     fn default() -> Self {
         Self {
             result: Mutex::new(None),
@@ -636,47 +538,33 @@ impl<V> Default for RankSlot<V> {
     }
 }
 
-impl<V> RankSlot<V> {
+impl<T: ReuseTree> ItemSlot<T> {
     /// Poison-tolerant lock on the slot value.
-    fn lock(&self) -> MutexGuard<'_, Option<V>> {
+    fn lock(&self) -> MutexGuard<'_, Option<Published<T>>> {
         self.result.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Store a finished value and wake the cascade thread.
-    fn publish(&self, value: V) {
-        *self.lock() = Some(value);
-        self.ready.notify_one();
-    }
-
-    /// Block until the rank's value is published, returning it plus the
-    /// time spent waiting — the pipeline bubble recorded as
-    /// [`RankMetrics::cascade_wait_ns`].
-    fn take(&self) -> (V, u64) {
-        let sw = Stopwatch::start();
-        let mut guard = self.lock();
-        while guard.is_none() {
-            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
-        (guard.take().expect("slot is filled"), sw.ns())
-    }
-
-    /// [`RankSlot::take`] with a total deadline: `None` on expiry (the
-    /// watchdog converts that into [`PardaError::Stall`]).
-    fn take_deadline(&self, deadline: Option<Duration>) -> Option<(V, u64)> {
-        let Some(limit) = deadline else {
-            return Some(self.take());
-        };
+    /// Block until the item is published, returning it plus the time spent
+    /// waiting — the pipeline bubble recorded as
+    /// [`RankMetrics::cascade_wait_ns`]. With a `deadline`, `None` on
+    /// expiry (the watchdog converts that into [`PardaError::Stall`]).
+    fn take_deadline(&self, deadline: Option<Duration>) -> Option<(Published<T>, u64)> {
         let sw = Stopwatch::start();
         let mut guard = self.lock();
         loop {
             if let Some(v) = guard.take() {
                 return Some((v, sw.ns()));
             }
-            let remaining = limit.checked_sub(Duration::from_nanos(sw.ns()))?;
-            (guard, _) = self
-                .ready
-                .wait_timeout(guard, remaining)
-                .unwrap_or_else(|e| e.into_inner());
+            guard = match deadline {
+                None => self.ready.wait(guard).unwrap_or_else(|e| e.into_inner()),
+                Some(limit) => {
+                    let remaining = limit.checked_sub(Duration::from_nanos(sw.ns()))?;
+                    self.ready
+                        .wait_timeout(guard, remaining)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0
+                }
+            };
         }
     }
 }
@@ -908,7 +796,8 @@ mod tests {
         let trace: Vec<Addr> = (0..4_000).map(|i| (i * 13) % 311).collect();
         let np = 3;
         let cfg = PardaConfig::with_ranks(np).subchunk_refs(100);
-        let (hist, metrics) = parda_threads_with_stats::<SplayTree>(&trace, &cfg);
+        let (hist, metrics, _) =
+            parda_threads_with_stats::<SplayTree>(&trace, &cfg, &FaultPolicy::default()).unwrap();
         assert_eq!(hist, analyze_sequential::<SplayTree>(&trace, None));
         assert_eq!(metrics.len(), np, "metrics stay grouped per reported rank");
         assert_eq!(metrics.iter().map(|m| m.refs).sum::<u64>(), 4_000);
@@ -931,14 +820,14 @@ mod tests {
     }
 
     #[test]
-    fn faulted_driver_matches_unfaulted_without_faults() {
+    fn driver_matches_msg_oracle_without_faults() {
         let trace: Vec<Addr> = (0..1_500).map(|i| (i * 13) % 131).collect();
         let policy = FaultPolicy::default();
         for np in [1, 2, 4, 7] {
             let cfg = PardaConfig::with_ranks(np);
             let (hist, metrics, recovery) =
-                parda_threads_faulted::<SplayTree>(&trace, &cfg, &policy).unwrap();
-            assert_eq!(hist, parda_threads::<SplayTree>(&trace, &cfg), "np={np}");
+                parda_threads_with_stats::<SplayTree>(&trace, &cfg, &policy).unwrap();
+            assert_eq!(hist, parda_msg::<SplayTree>(&trace, &cfg), "np={np}");
             assert_eq!(metrics.len(), np);
             assert_eq!(metrics.iter().map(|m| m.refs).sum::<u64>(), 1_500);
             assert_eq!(recovery.rank_retries, 0, "no faults, no retries");
@@ -947,39 +836,12 @@ mod tests {
     }
 
     #[test]
-    fn faulted_driver_watchdog_is_quiet_on_healthy_runs() {
+    fn watchdog_is_quiet_on_healthy_subdivided_runs() {
         let trace: Vec<Addr> = (0..800).map(|i| (i * 7) % 89).collect();
-        let cfg = PardaConfig::with_ranks(4);
+        let cfg = PardaConfig::with_ranks(4).subchunk_refs(16);
         let policy = FaultPolicy::default().watchdog(std::time::Duration::from_secs(30));
-        let (hist, _, _) = parda_threads_faulted::<SplayTree>(&trace, &cfg, &policy).unwrap();
-        assert_eq!(hist, parda_threads::<SplayTree>(&trace, &cfg));
-    }
-
-    #[test]
-    fn faulted_driver_handles_empty_and_tiny_traces() {
-        let policy = FaultPolicy::default();
-        let cfg = PardaConfig::with_ranks(4);
-        let (hist, _, _) = parda_threads_faulted::<SplayTree>(&[], &cfg, &policy).unwrap();
-        assert_eq!(hist.total(), 0);
-        let trace = labels("aba");
-        let (hist, _, _) = parda_threads_faulted::<SplayTree>(&trace, &cfg, &policy).unwrap();
+        let (hist, _, _) = parda_threads_with_stats::<SplayTree>(&trace, &cfg, &policy).unwrap();
         assert_eq!(hist, analyze_sequential::<SplayTree>(&trace, None));
-    }
-
-    proptest! {
-        /// The fault-tolerant driver is bit-identical to the plain one on
-        /// healthy runs for every trace, rank count, and bound.
-        #[test]
-        fn faulted_equals_unfaulted_prop(
-            trace in proptest::collection::vec(0u64..48, 0..300),
-            np in 1usize..7,
-        ) {
-            let cfg = PardaConfig::with_ranks(np);
-            let (hist, _, _) = parda_threads_faulted::<SplayTree>(
-                &trace, &cfg, &FaultPolicy::default(),
-            ).unwrap();
-            prop_assert_eq!(hist, parda_threads::<SplayTree>(&trace, &cfg));
-        }
     }
 
     proptest! {

@@ -21,10 +21,11 @@
 //!   footprint.
 //! * [`Mode::Seq`] and [`Mode::Phased`] stream through the incremental
 //!   [`SequentialAnalyzer`] (Algorithm 1 driven frame by frame).
-//! * Everything else (notably [`Mode::Threads`], the parallel cascade)
-//!   buffers references and runs the builder's engine at `finish` via
-//!   [`Analysis::run_faulted`], so panic isolation and rank rescue apply
-//!   unchanged.
+//! * [`Mode::Threads`] (and the naïve baseline) buffer references and run
+//!   the builder's engine at `finish` via [`Analysis::run_faulted`]: the
+//!   one Algorithm 3 driver, so panic isolation, item rescue and the
+//!   watchdog apply unchanged, and a session that reaches 2·2^17
+//!   references per rank gets work-stealing sub-chunks.
 //!
 //! Every path is bit-identical to the equivalent one-shot
 //! [`Analysis::run`] / [`Analysis::run_stream`] regardless of how the
@@ -242,8 +243,8 @@ impl SessionAnalysis {
     /// the `feed → Pending | NeedMore` state machine.
     ///
     /// Errors only surface from the buffered [`Analysis::run_faulted`]
-    /// path (an unrescued rank panic or watchdog stall under the
-    /// builder's [`crate::FaultPolicy`]).
+    /// path (a worker panic that survives every rescue, or a watchdog
+    /// stall, under the builder's [`crate::FaultPolicy`]).
     pub fn finish(self) -> Result<(ReuseHistogram, Option<Report>), PardaError> {
         let attached_ns = self.attached_ns();
         match self.state {

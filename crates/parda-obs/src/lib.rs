@@ -627,10 +627,11 @@ pub struct RecoveryMetrics {
     /// Byte-level resync scans performed after losing frame alignment
     /// (BestEffort only).
     pub resyncs: u64,
-    /// Rank analyses re-run after a worker panic.
+    /// Work-item analyses re-run after a worker panic (an item is a rank's
+    /// chunk or one of its work-stealing sub-chunks).
     pub rank_retries: u64,
-    /// Ranks whose result came from a successful re-run on the scalar
-    /// reference engine rather than the original worker.
+    /// Work items whose result came from a successful re-run on the
+    /// scalar reference engine rather than the original worker.
     pub rank_rescues: u64,
     /// Indices of the first quarantined frames (capped — see
     /// [`RecoveryMetrics::SKIPPED_FRAMES_CAP`]).
@@ -684,8 +685,8 @@ impl RecoveryMetrics {
 /// verbatim by `--stats=json` and rendered by [`Report::render_pretty`].
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct Report {
-    /// Engine mode label (`seq`, `parda-threads`, `parda-msg`, `phased`,
-    /// `naive`, `sampled`).
+    /// Engine mode label (`seq`, `parda-threads`, `phased`, `naive`,
+    /// `phased-stream`, `session-stream`, or an approximate mode's name).
     pub mode: String,
     /// Tree structure used (`splay`, `avl`, `treap`, `vector`).
     pub tree: String,

@@ -30,7 +30,7 @@ pub fn filter_range(trace: &Trace, start: Addr, end: Addr) -> Trace {
 
 /// Keep every `k`-th reference (systematic temporal subsampling — note this
 /// *biases* reuse distances, unlike the spatial sampling in
-/// `parda_core::sampled`; exposed for comparison experiments).
+/// `parda_core::approx`; exposed for comparison experiments).
 pub fn decimate(trace: &Trace, k: usize) -> Trace {
     assert!(k > 0);
     trace.as_slice().iter().copied().step_by(k).collect()

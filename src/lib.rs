@@ -68,7 +68,7 @@ pub mod prelude {
         recommend_partition, shared_metrics, ConcurrentAnalysis, InterleaveModel, PartitionPlan,
     };
     pub use parda_core::object::{analyze_by_region, RegionAnalysis, RegionMap};
-    pub use parda_core::parallel::{parda_msg, parda_threads, parda_threads_faulted};
+    pub use parda_core::parallel::{parda_msg, parda_threads, parda_threads_with_stats};
     pub use parda_core::phased::{parda_phased, Reduction};
     pub use parda_core::seq::{analyze_naive, analyze_sequential, SequentialAnalyzer};
     pub use parda_core::{

@@ -1,9 +1,9 @@
 //! Integration tests for the application layer built on the analyzers:
-//! object-level analysis, co-run interference, partitioning, sampling,
-//! and phase detection — composed end-to-end through the facade API.
+//! object-level analysis, partitioning, sampling, and phase detection —
+//! composed end-to-end through the facade API.
 
+use parda::core::concurrent::optimal_partition;
 use parda::core::object::{analyze_by_region, RegionMap};
-use parda::core::shared::{analyze_corun, optimal_partition};
 use parda::core::window::{detect_phases, windowed_histograms};
 use parda::pinsim::{collect_trace, MatMul, StreamTriad};
 use parda::prelude::*;
@@ -31,26 +31,6 @@ fn object_analysis_of_a_real_kernel_sums_to_global() {
         analysis.total,
         analyze_sequential::<SplayTree>(trace.as_slice(), None)
     );
-}
-
-#[test]
-fn corun_analysis_predicts_shared_cache_simulation() {
-    // The shared stream's histogram must predict a shared LRU cache
-    // exactly, like any other trace.
-    let a = collect_trace(StreamTriad::new(500, 3));
-    let b = collect_trace(MatMul::blocked(16, 4));
-    let corun = analyze_corun::<SplayTree>(&[a.as_slice(), b.as_slice()], &[1, 2]);
-
-    let shared_stream = parda::core::shared::interleave(&[a.as_slice(), b.as_slice()], &[1, 2]);
-    for capacity in [64usize, 512, 2048] {
-        let mut cache = LruCache::new(capacity);
-        let stats = cache.run_trace(&shared_stream);
-        assert_eq!(
-            corun.combined.hit_count(capacity as u64),
-            stats.hits,
-            "capacity {capacity}"
-        );
-    }
 }
 
 #[test]

@@ -1,18 +1,29 @@
 //! Cascade observability invariants: the per-rank [`RankMetrics`] emitted
-//! by both parallel drivers must tell a self-consistent story about the
+//! by the thread driver and the message-passing oracle must tell a self-consistent story about the
 //! infinity cascade — every forwarded stream is received exactly once,
 //! round vectors stay aligned, batch-delete tallies reconcile with the
 //! engines' stream-hit counters, and the new merge/batch timing fields
 //! never exceed the enclosing cascade time.
 
 use parda_core::parallel::{parda_msg_with_stats, parda_threads_with_stats, MAX_PARTS_PER_RANK};
-use parda_core::PardaConfig;
+use parda_core::{FaultPolicy, PardaConfig};
 use parda_obs::RankMetrics;
-use parda_tree::{AvlTree, SplayTree, Treap, VectorTree};
+use parda_tree::{AvlTree, ReuseTree, SplayTree, Treap, VectorTree};
 use proptest::prelude::*;
 
 fn modular_trace(refs: usize, footprint: u64, stride: u64) -> Vec<u64> {
     (0..refs as u64).map(|i| (i * stride) % footprint).collect()
+}
+
+/// The thread driver's per-rank metrics under the default fault policy.
+fn threads_metrics<T: ReuseTree + Default + Send>(
+    trace: &[u64],
+    cfg: &PardaConfig,
+) -> Vec<RankMetrics> {
+    let (_, metrics, recovery) =
+        parda_threads_with_stats::<T>(trace, cfg, &FaultPolicy::default()).unwrap();
+    assert!(recovery.is_clean(), "no faults, no recovery");
+    metrics
 }
 
 /// Invariants that hold for every driver and mode.
@@ -87,7 +98,7 @@ fn threads_rounds_bounded_by_subdivision() {
     for np in [2usize, 4] {
         // Tiny grain forces the full MAX_PARTS_PER_RANK subdivision.
         let cfg = PardaConfig::with_ranks(np).subchunk_refs(1);
-        let (_, metrics) = parda_threads_with_stats::<SplayTree>(&trace, &cfg);
+        let metrics = threads_metrics::<SplayTree>(&trace, &cfg);
         assert_eq!(metrics.len(), np);
         for m in &metrics {
             // A rank's items absorb at most one stream each; only non-empty
@@ -111,7 +122,7 @@ fn batched_rounds_populate_delete_and_timing_fields() {
     // from the trees and the batched path records its timings.
     let trace = modular_trace(20_000, 997, 1);
     let cfg = PardaConfig::with_ranks(4);
-    let (_, metrics) = parda_threads_with_stats::<SplayTree>(&trace, &cfg);
+    let metrics = threads_metrics::<SplayTree>(&trace, &cfg);
     assert_common_invariants(&metrics);
     assert_space_opt_accounting(&metrics);
     let total_deletes: u64 = metrics
@@ -139,13 +150,13 @@ fn unoptimized_mode_keeps_rounds_aligned() {
     let cfg = PardaConfig::with_ranks(3).space_optimized(false);
     let (_, msg) = parda_msg_with_stats::<AvlTree>(&trace, &cfg);
     assert_common_invariants(&msg);
-    let (_, threads) = parda_threads_with_stats::<AvlTree>(&trace, &cfg);
+    let threads = threads_metrics::<AvlTree>(&trace, &cfg);
     assert_common_invariants(&threads);
 }
 
 proptest! {
     /// The invariants hold for every trace shape, rank count, tree, and
-    /// subdivision grain, in both drivers.
+    /// subdivision grain, in the driver and the oracle.
     #[test]
     fn cascade_invariants_prop(
         trace in proptest::collection::vec(0u64..128, 0..600),
@@ -158,7 +169,7 @@ proptest! {
         assert_space_opt_accounting(&msg);
 
         let sub = cfg.subchunk_refs(grain);
-        let (_, threads) = parda_threads_with_stats::<VectorTree>(&trace, &sub);
+        let threads = threads_metrics::<VectorTree>(&trace, &sub);
         assert_common_invariants(&threads);
         assert_space_opt_accounting(&threads);
     }

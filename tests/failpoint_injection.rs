@@ -1,6 +1,6 @@
 //! Fault injection through the `failpoints` feature: deterministic panics,
-//! stalls, and decode failures at named sites, driven through the faulted
-//! parallel driver and the recovering trace decoders. Compiled (and run by
+//! stalls, and decode failures at named sites, driven through the
+//! Algorithm 3 thread driver and the recovering trace decoders. Compiled (and run by
 //! `ci.sh`) only with `--features failpoints`; the sites cost nothing in
 //! normal builds.
 #![cfg(feature = "failpoints")]
@@ -34,7 +34,8 @@ fn worker_panic_is_rescued_bit_identically() {
 
     parda_failpoint::configure("parallel::worker", "1*panic").unwrap();
     let policy = FaultPolicy::default().backoff(Duration::ZERO);
-    let (hist, _, recovery) = parda_threads_faulted::<SplayTree>(&trace, &config, &policy).unwrap();
+    let (hist, _, recovery) =
+        parda_threads_with_stats::<SplayTree>(&trace, &config, &policy).unwrap();
     assert_eq!(hist, expected, "rescued histogram must be bit-identical");
     assert_eq!(recovery.rank_retries, 1);
     assert_eq!(recovery.rank_rescues, 1);
@@ -51,7 +52,7 @@ fn exhausted_retries_surface_as_worker_panic() {
     parda_failpoint::configure("parallel::worker", "panic").unwrap();
     parda_failpoint::configure("engine::process_chunk_scalar", "panic").unwrap();
     let policy = FaultPolicy::default().retries(1).backoff(Duration::ZERO);
-    let err = parda_threads_faulted::<SplayTree>(&trace, &config, &policy).unwrap_err();
+    let err = parda_threads_with_stats::<SplayTree>(&trace, &config, &policy).unwrap_err();
     match err {
         PardaError::WorkerPanic { rank, attempts } => {
             assert!(rank < 3);
@@ -60,6 +61,86 @@ fn exhausted_retries_surface_as_worker_panic() {
         other => panic!("expected WorkerPanic, got {other}"),
     }
     assert_eq!(err.class(), "worker-panic");
+    parda_failpoint::clear();
+}
+
+/// A trace whose 3 ranks each split into the full MAX_PARTS_PER_RANK
+/// sub-chunks under a 16-reference grain.
+fn subdivided() -> (Vec<u64>, PardaConfig) {
+    (
+        sample_trace(6000),
+        PardaConfig::with_ranks(3).subchunk_refs(16),
+    )
+}
+
+#[test]
+fn subchunk_worker_panic_is_rescued_bit_identically() {
+    let _g = exclusive();
+    let (trace, config) = subdivided();
+    let expected = parda_msg::<SplayTree>(&trace, &config);
+
+    parda_failpoint::configure("parallel::worker", "1*panic").unwrap();
+    let policy = FaultPolicy::default().backoff(Duration::ZERO);
+    let (hist, metrics, recovery) =
+        parda_threads_with_stats::<SplayTree>(&trace, &config, &policy).unwrap();
+    assert_eq!(hist, expected, "rescued histogram must be bit-identical");
+    assert_eq!(
+        recovery.rank_rescues, 1,
+        "only the panicked item is rescued"
+    );
+    assert_eq!(recovery.rank_retries, 1);
+    assert!(
+        metrics.iter().any(|m| m.cascade_rounds > 1),
+        "the trace must subdivide: {metrics:?}"
+    );
+    parda_failpoint::clear();
+}
+
+#[test]
+fn exhausted_retries_name_the_owning_rank_not_the_item() {
+    let _g = exclusive();
+    let (trace, config) = subdivided();
+    let np = config.ranks;
+
+    parda_failpoint::configure("parallel::worker", "panic").unwrap();
+    parda_failpoint::configure("engine::process_chunk_scalar", "panic").unwrap();
+    let policy = FaultPolicy::default().retries(1).backoff(Duration::ZERO);
+    let err = parda_threads_with_stats::<SplayTree>(&trace, &config, &policy).unwrap_err();
+    match err {
+        // The fold claims the rightmost item first (index 3·64 − 1); its
+        // owner is the last rank.
+        PardaError::WorkerPanic { rank, attempts } => {
+            assert!(rank < np, "rank {rank} is an item index, not a rank");
+            assert_eq!(rank, np - 1);
+            assert_eq!(attempts, 2, "one worker attempt + one rescue retry");
+        }
+        other => panic!("expected WorkerPanic, got {other}"),
+    }
+    parda_failpoint::clear();
+}
+
+#[test]
+fn analysis_run_survives_a_worker_panic() {
+    let _g = exclusive();
+    let trace = sample_trace(6000);
+    let builder = Analysis::new()
+        .mode(Mode::Threads)
+        .ranks(4)
+        .fault_policy(FaultPolicy::default().backoff(Duration::ZERO));
+    let (expected, _) = builder.run(&trace);
+
+    // A panic inside the batched chunk engine of one worker: `run` goes
+    // through the same driver as `run_faulted`, so the item is rescued on
+    // the scalar engine instead of leaving the cascade waiting forever on
+    // the dead worker's slot.
+    parda_failpoint::configure("engine::process_chunk", "1*panic").unwrap();
+    let (hist, report) = builder.clone().stats(true).run(&trace);
+    assert_eq!(hist, expected, "run rescues exactly like run_faulted");
+    let recovery = report
+        .unwrap()
+        .recovery
+        .expect("threads runs tally recovery");
+    assert_eq!(recovery.rank_rescues, 1);
     parda_failpoint::clear();
 }
 
@@ -74,7 +155,7 @@ fn watchdog_converts_a_stall_into_a_structured_error() {
     parda_failpoint::configure("parallel::worker_stall", "sleep(400)").unwrap();
     let policy = FaultPolicy::default().watchdog(Duration::from_millis(50));
     let start = std::time::Instant::now();
-    let err = parda_threads_faulted::<SplayTree>(&trace, &config, &policy).unwrap_err();
+    let err = parda_threads_with_stats::<SplayTree>(&trace, &config, &policy).unwrap_err();
     assert!(
         matches!(err, PardaError::Stall { .. }),
         "expected Stall, got {err}"
@@ -98,7 +179,7 @@ fn poisoned_slot_lock_does_not_lose_the_published_result() {
     // the cascade must read through the poison and need no rescue.
     parda_failpoint::configure("parallel::slot_publish", "1*panic").unwrap();
     let (hist, _, recovery) =
-        parda_threads_faulted::<SplayTree>(&trace, &config, &FaultPolicy::default()).unwrap();
+        parda_threads_with_stats::<SplayTree>(&trace, &config, &FaultPolicy::default()).unwrap();
     assert_eq!(hist, expected);
     assert_eq!(recovery.rank_retries, 0, "the value was already published");
     parda_failpoint::clear();
