@@ -1,10 +1,13 @@
 //! Server ingest-throughput benchmark: the daemon's perf anchor.
 //!
 //! Measures aggregate loopback refs/s for concurrent client sessions
-//! submitting zipf traces to an in-process daemon, next to the offline
-//! streaming baseline (the identical analysis with no sockets or
-//! framing). Exact-mode configs run 1/4/8 sessions over the full trace
-//! and 16 sessions over a quarter trace; sketch-mode configs
+//! submitting zipf traces to an in-process daemon, next to offline
+//! baselines that run the daemon's own session analysis
+//! ([`parda_server::offline_session`]) with no sockets, encoding or
+//! protocol: `offline` beside the exact rows and `offline-sketch` beside
+//! the sketch rows, so the gap to each loopback row is the wire's cost.
+//! Exact-mode configs run 1/4/8 sessions over the full trace and 16
+//! sessions over a quarter trace; sketch-mode configs
 //! (`approx=shards-smax:8192`) push 64 and 256 concurrent sessions to
 //! exercise the constant-space session claim. Each row reports aggregate
 //! refs/s, the server's p99 session latency (admission to reply), and the
@@ -18,14 +21,13 @@
 //!       --refs 2000000 --out BENCH_server.json
 
 use parda_bench::time;
-use parda_comm::pipe;
-use parda_core::Analysis;
 use parda_obs::ServerMetrics;
-use parda_server::{submit, RetryPolicy, Server, ServerConfig, SubmitOptions};
+use parda_server::{offline_session, submit, RetryPolicy, Server, ServerConfig, SubmitOptions};
 use parda_trace::gen::ZipfGen;
 use parda_trace::{AddressStream, Trace};
 use serde::Serialize;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,10 +42,11 @@ struct Row {
     refs_per_sec: u64,
     secs: f64,
     /// p99 session wall time (admission to reply) from the server's
-    /// merged shard histograms; 0 for the offline baseline.
+    /// merged shard histograms; 0 for the offline rows.
     p99_session_ms: f64,
     /// Largest per-session analysis-state estimate any shard observed —
-    /// the "resident memory per session" readout.
+    /// the "resident memory per session" readout (0 for the offline rows,
+    /// which run no shard).
     mem_per_session_bytes: u64,
     /// Largest sketch among approx sessions (0 for exact configs).
     sketch_bytes_hwm: u64,
@@ -91,37 +94,20 @@ fn main() {
 
     let mut results = Vec::new();
 
-    // Offline streaming baseline: one session's trace through the
-    // streaming analyzer with no sockets, framing, or protocol.
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let (hist, secs) = time(|| {
-            let (mut tx, rx) = pipe(1 << 16, pipe::DEFAULT_BATCH);
-            let t = Arc::clone(&trace);
-            let feeder = std::thread::spawn(move || {
-                tx.write_all(t.as_slice());
-            });
-            let (hist, _) = Analysis::new().run_stream(rx);
-            feeder.join().unwrap();
-            hist
-        });
-        black_box(hist);
-        best = best.min(secs);
-    }
+    // Exact sessions: the daemon's analysis offline, then loopback over the
+    // full trace at 1/4/8 (the historical surface) and a quarter trace at 16.
+    let exact = SubmitOptions::default();
+    let secs = offline_config(runs, &trace, 1, refs, &exact);
     push_row(
         &mut results,
-        "offline-stream",
+        "offline",
         1,
         refs,
-        best,
+        secs,
         &ServerMetrics::default(),
         0,
         0,
     );
-
-    // Exact sessions: the full trace at 1/4/8 (the historical surface),
-    // a quarter trace at 16.
-    let exact = SubmitOptions::default();
     for (sessions, per_session) in [(1usize, refs), (4, refs), (8, refs), (16, refs / 4)] {
         let (secs, metrics) = best_config(runs, &trace, sessions, per_session, &exact);
         push_row(
@@ -142,6 +128,17 @@ fn main() {
     sketch
         .config
         .push(("approx".into(), "shards-smax:8192".into()));
+    let secs = offline_config(runs, &trace, 64, refs / 8, &sketch);
+    push_row(
+        &mut results,
+        "offline-sketch",
+        64,
+        refs / 8,
+        secs,
+        &ServerMetrics::default(),
+        0,
+        0,
+    );
     for (sessions, per_session) in [(64usize, refs / 8), (256, refs / 32)] {
         let (secs, metrics) = best_config(runs, &trace, sessions, per_session, &sketch);
         push_row(
@@ -190,6 +187,43 @@ fn main() {
     std::fs::write(&out, &json).expect("write BENCH json");
     eprintln!("server_ingest: wrote {out}");
     println!("{json}");
+}
+
+/// Run `sessions` sessions of `per_session` refs through the daemon's own
+/// session analysis, fed in the client's frame size, on as many threads as
+/// a default daemon has shards. Returns the fastest of `runs` wall times.
+fn offline_config(
+    runs: u32,
+    trace: &Trace,
+    sessions: usize,
+    per_session: u64,
+    opts: &SubmitOptions,
+) -> f64 {
+    let scfg = ServerConfig::default();
+    let workers = scfg.effective_shards().min(sessions);
+    let slice = &trace.as_slice()[..per_session as usize];
+    let mut best = f64::INFINITY;
+    for _ in 0..runs {
+        let next = AtomicUsize::new(0);
+        let ((), secs) = time(|| {
+            std::thread::scope(|s| {
+                for _ in 0..workers {
+                    s.spawn(|| {
+                        while next.fetch_add(1, Ordering::Relaxed) < sessions {
+                            let mut session =
+                                offline_session(&scfg, opts).expect("valid benchmark CONFIG");
+                            for frame in slice.chunks(opts.frame_refs) {
+                                session.feed(frame);
+                            }
+                            black_box(session.finish().expect("offline session").0);
+                        }
+                    });
+                }
+            })
+        });
+        best = best.min(secs);
+    }
+    best
 }
 
 /// Run one (sessions × refs) config `runs` times against a fresh daemon

@@ -20,6 +20,13 @@
 //!     the table exceeds `s_max` and lowers the threshold to just below
 //!     the evicted hash, so memory is O(s_max) *regardless* of footprint
 //!     and the rate adapts downward automatically.
+//!
+//!   Sampled distances need no search tree. Each monitored address's table
+//!   entry names its last touch's slot in a Bennett–Kruskal time axis (one
+//!   occupancy bit per slot, a Fenwick tree over 64-bit word popcounts),
+//!   so a sampled reuse is a masked popcount plus an O(log(slots/64))
+//!   prefix sum, one bit clear and one append that compaction keeps
+//!   amortized O(1).
 //! * **AET** (average eviction time, [`ApproxMode::Aet`]): no tree at all.
 //!   A bounded reuse-*time* histogram drives the survival function
 //!   `P(t)` (fraction of references not yet reused after `t` steps); the
@@ -36,7 +43,6 @@ use parda_hash::{fx_hash_u64, FxHashMap};
 use parda_hist::ReuseHistogram;
 use parda_obs::ApproxMetrics;
 use parda_trace::Addr;
-use parda_tree::{ReuseTree, SplayTree};
 use std::collections::BinaryHeap;
 
 /// `2^64` as an `f64` — the denominator of the threshold→rate mapping.
@@ -330,27 +336,176 @@ impl WeightedHist {
 struct ShardsEntry {
     /// Sampled-clock timestamp of the first touch (merge replay order).
     first_ts: u64,
-    /// Sampled-clock timestamp of the most recent touch (tree key).
-    last_ts: u64,
+    /// Slot of the most recent touch in the sketch's [`SlotVector`].
+    slot: u32,
     /// Weight carried by this address's cold miss (the scale at the time
     /// it was first monitored — fixed-size rates drift downward).
     cold_w: f64,
+}
+
+/// Bennett–Kruskal time axis over the monitored last touches.
+///
+/// Every sampled touch appends one slot, so slot order is last-touch
+/// order; a touch's earlier slot dies. One `u64` word holds the occupancy
+/// bits of 64 slots, and a `u32` Fenwick tree sums the word popcounts, so
+/// the live slots newer than a given one cost a prefix sum and a masked
+/// popcount — no search, because each table entry stores its own slot.
+/// When the slots run out, [`SlotVector::compact`] squeezes out the dead
+/// ones (doubling the capacity if more than half are live) and re-points
+/// every survivor, which keeps an append amortized O(1).
+#[derive(Debug, Default)]
+struct SlotVector {
+    /// Address of each used slot; a dead slot keeps its stale address.
+    addrs: Vec<Addr>,
+    /// Bit `s % 64` of `words[s / 64]` is set iff slot `s` is live.
+    words: Vec<u64>,
+    /// 1-based Fenwick tree over `words[i].count_ones()`.
+    fenwick: Vec<u32>,
+    /// Live slots.
+    live: u32,
+}
+
+impl SlotVector {
+    /// Smallest slot capacity; a multiple of the 64-bit word.
+    const MIN_SLOTS: usize = 64;
+
+    /// Slot capacity (always a whole number of words).
+    fn capacity(&self) -> usize {
+        self.words.len() * 64
+    }
+
+    /// `true` when the next append needs a [`SlotVector::compact`] first.
+    #[inline]
+    fn is_full(&self) -> bool {
+        self.addrs.len() == self.capacity()
+    }
+
+    /// Number of live slots strictly newer than `slot`, which must be live.
+    #[inline]
+    fn newer_than(&self, slot: u32) -> u64 {
+        let (w, b) = (slot as usize / 64, slot % 64);
+        let mut older = (self.words[w] & (u64::MAX >> (63 - b))).count_ones();
+        let mut i = w;
+        while i > 0 {
+            older += self.fenwick[i];
+            i &= i - 1;
+        }
+        u64::from(self.live - older)
+    }
+
+    /// Mark `slot` dead.
+    #[inline]
+    fn clear(&mut self, slot: u32) {
+        let (w, b) = (slot as usize / 64, slot % 64);
+        debug_assert!(self.words[w] & (1 << b) != 0, "slot {slot} is not live");
+        self.words[w] &= !(1u64 << b);
+        let mut i = w + 1;
+        while i < self.fenwick.len() {
+            self.fenwick[i] -= 1;
+            i += i & i.wrapping_neg();
+        }
+        self.live -= 1;
+    }
+
+    /// Append `addr` as the newest live slot. The caller compacts first
+    /// when [`SlotVector::is_full`].
+    #[inline]
+    fn append(&mut self, addr: Addr) -> u32 {
+        debug_assert!(!self.is_full(), "append to a full slot vector");
+        let slot = self.addrs.len();
+        self.addrs.push(addr);
+        self.words[slot / 64] |= 1u64 << (slot % 64);
+        let mut i = slot / 64 + 1;
+        while i < self.fenwick.len() {
+            self.fenwick[i] += 1;
+            i += i & i.wrapping_neg();
+        }
+        self.live += 1;
+        u32::try_from(slot).expect("SHARDS slot vector exceeds u32 slots")
+    }
+
+    /// Squeeze out dead slots, keeping the live ones in order, and report
+    /// each survivor's new slot through `repoint`. Doubles the capacity
+    /// when more than half of it is live.
+    fn compact(&mut self, mut repoint: impl FnMut(Addr, u32)) {
+        let cap = self.capacity();
+        let new_cap = if self.live as usize * 2 > cap {
+            cap * 2
+        } else {
+            cap
+        }
+        .max(Self::MIN_SLOTS);
+        let mut addrs = Vec::with_capacity(new_cap);
+        addrs.extend(self.live_slots().map(|(_, addr)| addr));
+        for (slot, &addr) in addrs.iter().enumerate() {
+            repoint(addr, slot as u32);
+        }
+        let next = addrs.len();
+        debug_assert_eq!(next, self.live as usize);
+        self.addrs = addrs;
+        self.words.clear();
+        self.words.resize(new_cap / 64, 0);
+        let (full, rem) = (next / 64, next % 64);
+        self.words[..full].fill(u64::MAX);
+        if rem > 0 {
+            self.words[full] = (1u64 << rem) - 1;
+        }
+        // O(n) Fenwick build: seed each node with its word's popcount, then
+        // push every node's sum into its parent.
+        self.fenwick.clear();
+        self.fenwick.push(0);
+        self.fenwick
+            .extend(self.words.iter().map(|w| w.count_ones()));
+        for i in 1..self.fenwick.len() {
+            let parent = i + (i & i.wrapping_neg());
+            if parent < self.fenwick.len() {
+                self.fenwick[parent] += self.fenwick[i];
+            }
+        }
+    }
+
+    /// Live `(slot, addr)` pairs, oldest first.
+    fn live_slots(&self) -> impl Iterator<Item = (u32, Addr)> + '_ {
+        self.words.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    (slot as u32, self.addrs[slot])
+                })
+            })
+        })
+    }
+
+    /// Bytes held by the three vectors, by capacity.
+    fn memory_bytes(&self) -> u64 {
+        (self.addrs.capacity() * std::mem::size_of::<Addr>()
+            + self.words.capacity() * std::mem::size_of::<u64>()
+            + self.fenwick.capacity() * std::mem::size_of::<u32>()) as u64
+    }
 }
 
 /// SHARDS sketch: spatial-hash-sampled reuse distance analysis.
 ///
 /// Fixed-rate (`s_max = None`) keeps every monitored address; fixed-size
 /// keeps at most `s_max` by evicting the highest-hash entry and lowering
-/// the threshold, so the live state (table + tree + heap) is O(s_max).
-#[derive(Debug, Default)]
+/// the threshold, so the live state (table + slot vector + heap) is
+/// O(s_max). Sampled reuse distances come from a slot vector over the
+/// monitored last touches rather than a search tree: a sampled reuse is one
+/// table probe, a masked popcount plus a Fenwick prefix sum, one bit clear
+/// and one append.
+#[derive(Debug)]
 pub struct ShardsSketch {
     /// Configured initial rate (reported in metrics).
     initial_rate: f64,
     /// Current monitoring threshold (`hash <= threshold` is monitored).
     threshold: u64,
+    /// `1/R` at the current threshold: the weight of a sampled reference.
+    scale: f64,
     /// Cardinality cap, when fixed-size.
     s_max: Option<usize>,
-    /// Sampled-reference clock (tree key space).
+    /// Sampled-reference clock (first-touch order for merge).
     ts: u64,
     /// All references seen (monitored or not).
     total_refs: u64,
@@ -358,8 +513,8 @@ pub struct ShardsSketch {
     sampled_refs: u64,
     /// Live monitored addresses.
     table: FxHashMap<Addr, ShardsEntry>,
-    /// Distance oracle over monitored last-access timestamps.
-    tree: SplayTree,
+    /// Distance oracle: the monitored last touches in last-touch order.
+    slots: SlotVector,
     /// Max-heap over (hash, addr) for fixed-size eviction; empty otherwise.
     heap: BinaryHeap<(u64, Addr)>,
     /// Scaled finite-distance observations.
@@ -371,32 +526,57 @@ pub struct ShardsSketch {
 }
 
 impl ShardsSketch {
+    fn new(initial_rate: f64, s_max: Option<usize>) -> Self {
+        let mut sketch = Self {
+            initial_rate,
+            threshold: 0,
+            scale: 0.0,
+            s_max,
+            ts: 0,
+            total_refs: 0,
+            sampled_refs: 0,
+            table: FxHashMap::default(),
+            slots: SlotVector::default(),
+            heap: BinaryHeap::new(),
+            hist: WeightedHist::default(),
+            evicted_cold_w: 0.0,
+            evictions: 0,
+        };
+        sketch.set_threshold(SampleRate::from_rate(initial_rate).threshold());
+        sketch
+    }
+
     /// Fixed-rate sketch at `rate` in (0, 1].
     pub fn fixed_rate(rate: f64) -> Self {
-        let sr = SampleRate::from_rate(rate);
-        Self {
-            initial_rate: rate,
-            threshold: sr.threshold(),
-            s_max: None,
-            ..Default::default()
-        }
+        Self::new(rate, None)
     }
 
     /// Fixed-size sketch capped at `s_max` monitored addresses, starting
     /// from [`SHARDS_FIXED_SIZE_INITIAL_RATE`].
     pub fn fixed_size(s_max: usize) -> Self {
         assert!(s_max >= 1, "s_max must be >= 1");
-        let sr = SampleRate::from_rate(SHARDS_FIXED_SIZE_INITIAL_RATE);
-        Self {
-            initial_rate: SHARDS_FIXED_SIZE_INITIAL_RATE,
-            threshold: sr.threshold(),
-            s_max: Some(s_max),
-            ..Default::default()
-        }
+        Self::new(SHARDS_FIXED_SIZE_INITIAL_RATE, Some(s_max))
     }
 
-    fn current_scale(&self) -> f64 {
-        SampleRate::from_threshold(self.threshold).scale()
+    /// Move the monitoring threshold and re-derive the cached scale.
+    fn set_threshold(&mut self, threshold: u64) {
+        self.threshold = threshold;
+        self.scale = SampleRate::from_threshold(threshold).scale();
+    }
+
+    /// Compact the slot vector if it is full, re-pointing every live
+    /// table entry at its survivor's new slot.
+    #[inline]
+    fn make_room(&mut self) {
+        if self.slots.is_full() {
+            let table = &mut self.table;
+            self.slots.compact(|addr, slot| {
+                table
+                    .get_mut(&addr)
+                    .expect("live slot must have a table entry")
+                    .slot = slot;
+            });
+        }
     }
 
     /// Process one reference.
@@ -408,28 +588,26 @@ impl ShardsSketch {
             return;
         }
         self.sampled_refs += 1;
-        let w = self.current_scale();
+        let w = self.scale;
         let ts = self.ts;
         self.ts += 1;
+        self.make_room();
         if let Some(entry) = self.table.get_mut(&addr) {
-            let (d_s, _) = self
-                .tree
-                .distance_and_remove(entry.last_ts)
-                .expect("monitored entry must be in the tree");
-            entry.last_ts = ts;
-            self.tree.insert(ts, addr);
+            let d_s = self.slots.newer_than(entry.slot);
+            self.slots.clear(entry.slot);
+            entry.slot = self.slots.append(addr);
             let est = (d_s as f64 * w).round() as u64;
             self.hist.record(est, w);
         } else {
+            let slot = self.slots.append(addr);
             self.table.insert(
                 addr,
                 ShardsEntry {
                     first_ts: ts,
-                    last_ts: ts,
+                    slot,
                     cold_w: w,
                 },
             );
-            self.tree.insert(ts, addr);
             if let Some(s_max) = self.s_max {
                 self.heap.push((h, addr));
                 if self.table.len() > s_max {
@@ -451,7 +629,7 @@ impl ShardsSketch {
     /// evicted hash value is ever re-admitted.
     fn evict_one(&mut self) {
         let (h_max, _) = *self.heap.peek().expect("fixed-size eviction on empty heap");
-        self.threshold = h_max.saturating_sub(1);
+        self.set_threshold(h_max.saturating_sub(1));
         self.evict_above_threshold();
     }
 
@@ -467,7 +645,7 @@ impl ShardsSketch {
                 .table
                 .remove(&addr)
                 .expect("heap entry must be live in the table");
-            self.tree.remove(entry.last_ts);
+            self.slots.clear(entry.slot);
             self.evicted_cold_w += entry.cold_w;
             self.evictions += 1;
         }
@@ -478,7 +656,8 @@ impl ShardsSketch {
     ///
     /// Exact for fixed-rate sketches at equal rates: cross-boundary reuses
     /// are resolved by replaying `other`'s live entries (in first-touch
-    /// order) against `self`'s tree. Fixed-size merges align both sketches
+    /// order) against `self`'s slot vector; `other`'s survivors then append
+    /// in their own last-touch order. Fixed-size merges align both sketches
     /// on the lower threshold first, then re-apply the cardinality cap.
     pub fn merge(&mut self, other: ShardsSketch) -> Result<(), String> {
         if self.s_max != other.s_max {
@@ -492,15 +671,19 @@ impl ShardsSketch {
         }
         // Align on the lower threshold (no-op for fixed-rate).
         if other.threshold < self.threshold {
-            self.threshold = other.threshold;
+            self.set_threshold(other.threshold);
             self.evict_above_threshold();
         }
         let shift = self.ts;
-        let w = self.current_scale();
-        let mut entries: Vec<(Addr, ShardsEntry)> = other.table.into_iter().collect();
+        let w = self.scale;
+        let mut entries: Vec<(Addr, ShardsEntry)> =
+            other.table.iter().map(|(&a, &e)| (a, e)).collect();
         entries.sort_unstable_by_key(|(_, e)| e.first_ts);
         let mut other_evicted_cold_w = other.evicted_cold_w;
         let mut other_evictions = other.evictions;
+        // `other` entries replayed so far: every one is a distinct address
+        // first touched after all of `self`'s last touches.
+        let mut replayed = 0u64;
         for (addr, e) in entries {
             let h = fx_hash_u64(addr);
             if h > self.threshold {
@@ -513,36 +696,43 @@ impl ShardsSketch {
             }
             if let Some(mine) = self.table.get_mut(&addr) {
                 // Cross-boundary reuse: distance from `self`'s last touch
-                // of `addr` to `other`'s first touch. The tree query counts
-                // `self` survivors plus already-replayed `other` first
-                // touches — exactly the distinct monitored addresses in
-                // between.
-                let (d_s, _) = self
-                    .tree
-                    .distance_and_remove(mine.last_ts)
-                    .expect("monitored entry must be in the tree");
+                // of `addr` to `other`'s first touch — the `self` survivors
+                // touched after it plus the `other` first touches already
+                // replayed, exactly the distinct monitored addresses in
+                // between. `other`'s cold miss for this address dissolves
+                // into the reuse; `self`'s own cold weight stands.
+                let d_s = self.slots.newer_than(mine.slot) + replayed;
                 let est = (d_s as f64 * w).round() as u64;
                 self.hist.record(est, w);
-                mine.last_ts = shift + e.last_ts;
-                self.tree.insert(shift + e.last_ts, addr);
-                // `other`'s cold miss for this address dissolves into the
-                // cross reuse; `self`'s own cold weight stands.
-                // (Its weight was already excluded: cold weights live in
-                // the table entries, and we keep `mine`.)
+                self.slots.clear(mine.slot);
+                mine.slot = u32::MAX;
             } else {
                 self.table.insert(
                     addr,
                     ShardsEntry {
                         first_ts: shift + e.first_ts,
-                        last_ts: shift + e.last_ts,
+                        slot: u32::MAX,
                         cold_w: e.cold_w,
                     },
                 );
-                self.tree.insert(shift + e.last_ts, addr);
                 if self.s_max.is_some() {
                     self.heap.push((h, addr));
                 }
             }
+            replayed += 1;
+        }
+        // Every replayed address was last touched inside `other`, after all
+        // of `self`'s survivors: append them in `other`'s last-touch order.
+        for (_, addr) in other.slots.live_slots() {
+            if fx_hash_u64(addr) > self.threshold {
+                continue;
+            }
+            self.make_room();
+            let slot = self.slots.append(addr);
+            self.table
+                .get_mut(&addr)
+                .expect("replayed entry must be in the table")
+                .slot = slot;
         }
         if let Some(s_max) = self.s_max {
             while self.table.len() > s_max {
@@ -572,18 +762,16 @@ impl ShardsSketch {
         wh.to_histogram()
     }
 
-    /// Approximate resident size of the live sketch state (table + tree +
-    /// eviction heap). Excludes the output histogram accumulator, which —
-    /// like any reuse histogram — is sized by the largest estimated
-    /// distance.
+    /// Resident size of the live sketch state: the table (capacity ×
+    /// entry size, plus 8 bytes of hashing overhead per slot), the slot
+    /// vector and the eviction heap, each by allocated capacity. Excludes the output histogram
+    /// accumulator, which — like any reuse histogram — is sized by the
+    /// largest estimated distance.
     pub fn memory_bytes(&self) -> u64 {
         let table =
             self.table.capacity() as u64 * (std::mem::size_of::<(Addr, ShardsEntry)>() as u64 + 8);
-        // The trees don't expose node sizes; 48 bytes (three pointers +
-        // key + subtree size) is representative of the splay layout.
-        let tree = self.tree.len() as u64 * 48;
-        let heap = self.heap.len() as u64 * std::mem::size_of::<(u64, Addr)>() as u64;
-        table + tree + heap
+        let heap = self.heap.capacity() as u64 * std::mem::size_of::<(u64, Addr)>() as u64;
+        table + self.slots.memory_bytes() + heap
     }
 
     /// Realized configuration and accuracy envelope.
@@ -963,7 +1151,7 @@ mod tests {
     use crate::seq::analyze_sequential;
     use parda_trace::gen::{ReuseProfile, StackDistGen, ZipfGen};
     use parda_trace::AddressStream;
-    use parda_tree::SplayTree;
+    use parda_tree::{ReuseTree, SplayTree};
     use proptest::prelude::*;
 
     fn pow2_caps(max: u64) -> Vec<u64> {
@@ -974,6 +1162,156 @@ mod tests {
             c *= 2;
         }
         caps
+    }
+
+    /// The splay-keyed SHARDS update the slot vector replaced: last touches
+    /// keyed by sampled timestamp in a [`SplayTree`], scale recomputed per
+    /// sampled reference. The oracle the slot vector must match bit for bit.
+    struct SplayModel {
+        threshold: u64,
+        s_max: Option<usize>,
+        ts: u64,
+        total_refs: u64,
+        /// addr -> (last_ts, cold_w)
+        table: FxHashMap<Addr, (u64, f64)>,
+        tree: SplayTree,
+        heap: BinaryHeap<(u64, Addr)>,
+        hist: WeightedHist,
+        evicted_cold_w: f64,
+    }
+
+    impl SplayModel {
+        fn new(rate: f64, s_max: Option<usize>) -> Self {
+            Self {
+                threshold: SampleRate::from_rate(rate).threshold(),
+                s_max,
+                ts: 0,
+                total_refs: 0,
+                table: FxHashMap::default(),
+                tree: SplayTree::new(),
+                heap: BinaryHeap::new(),
+                hist: WeightedHist::default(),
+                evicted_cold_w: 0.0,
+            }
+        }
+
+        fn push(&mut self, addr: Addr) {
+            self.total_refs += 1;
+            let h = fx_hash_u64(addr);
+            if h > self.threshold {
+                return;
+            }
+            let w = SampleRate::from_threshold(self.threshold).scale();
+            let ts = self.ts;
+            self.ts += 1;
+            if let Some((last_ts, _)) = self.table.get_mut(&addr) {
+                let (d_s, _) = self.tree.distance_and_remove(*last_ts).unwrap();
+                *last_ts = ts;
+                self.tree.insert(ts, addr);
+                self.hist.record((d_s as f64 * w).round() as u64, w);
+                return;
+            }
+            self.table.insert(addr, (ts, w));
+            self.tree.insert(ts, addr);
+            let Some(s_max) = self.s_max else { return };
+            self.heap.push((h, addr));
+            if self.table.len() > s_max {
+                self.threshold = self.heap.peek().unwrap().0.saturating_sub(1);
+                while let Some(&(h, victim)) = self.heap.peek() {
+                    if h <= self.threshold {
+                        break;
+                    }
+                    self.heap.pop();
+                    let (last_ts, cold_w) = self.table.remove(&victim).unwrap();
+                    self.tree.remove(last_ts);
+                    self.evicted_cold_w += cold_w;
+                }
+            }
+        }
+
+        fn finalize(&self) -> ReuseHistogram {
+            let mut wh = self.hist.clone();
+            let cold: f64 = self.table.values().map(|e| e.1).sum::<f64>() + self.evicted_cold_w;
+            wh.record_infinite(cold);
+            wh.adjust_smallest(self.total_refs as f64 - wh.total());
+            wh.to_histogram()
+        }
+    }
+
+    /// Live entries as `(addr, first_ts, cold_w)`, oldest last touch first.
+    fn live_in_order(s: &ShardsSketch) -> Vec<(Addr, u64, f64)> {
+        s.slots
+            .live_slots()
+            .map(|(_, addr)| {
+                let e = s.table[&addr];
+                (addr, e.first_ts, e.cold_w)
+            })
+            .collect()
+    }
+
+    /// `live == table.len() ==` Σ popcount `==` Fenwick total, and every
+    /// table entry's slot is live and holds its address.
+    fn assert_slot_invariants(s: &ShardsSketch) {
+        let v = &s.slots;
+        let popcount: u32 = v.words.iter().map(|w| w.count_ones()).sum();
+        let mut fenwick_total = 0u32;
+        let mut i = v.words.len();
+        while i > 0 {
+            fenwick_total += v.fenwick[i];
+            i &= i - 1;
+        }
+        assert_eq!(v.live as usize, s.table.len());
+        assert_eq!(popcount, v.live);
+        assert_eq!(fenwick_total, v.live);
+        for (&addr, e) in &s.table {
+            let slot = e.slot as usize;
+            assert_eq!(v.addrs[slot], addr, "slot {slot} holds the wrong address");
+            assert_eq!(
+                v.words[slot / 64] >> (slot % 64) & 1,
+                1,
+                "slot {slot} is dead"
+            );
+        }
+    }
+
+    #[test]
+    fn slot_vector_survives_compaction_churn() {
+        // Admit addresses in falling hash order: each one hashes below every
+        // live entry, so it passes the lowered threshold and evicts the
+        // highest — unbounded admissions against a fixed cap.
+        let s_max = 1_024;
+        let initial = SampleRate::from_rate(SHARDS_FIXED_SIZE_INITIAL_RATE);
+        let mut fresh: Vec<Addr> = (0..160_000u64).filter(|&a| initial.monitors(a)).collect();
+        fresh.sort_unstable_by_key(|&a| std::cmp::Reverse(fx_hash_u64(a)));
+        let mut sketch = ShardsSketch::fixed_size(s_max);
+        let mut model = SplayModel::new(SHARDS_FIXED_SIZE_INITIAL_RATE, Some(s_max));
+        let (mut compactions, mut growths) = (0, 0);
+        for (i, &addr) in fresh.iter().enumerate() {
+            // One admission, then touch two earlier ones (a reuse while they
+            // are live, filtered once evicted) so dead slots pile up between
+            // compactions.
+            let batch = [addr, fresh[i / 2], fresh[i * 3 / 4], addr];
+            for &a in &batch {
+                let (used, cap) = (sketch.slots.addrs.len(), sketch.slots.capacity());
+                sketch.push(a);
+                model.push(a);
+                compactions += usize::from(sketch.slots.addrs.len() <= used);
+                growths += usize::from(sketch.slots.capacity() > cap);
+            }
+            if i % 997 == 0 {
+                assert_slot_invariants(&sketch);
+            }
+        }
+        let admitted = sketch.evictions as usize + sketch.table.len();
+        assert!(admitted > 10 * s_max, "only {admitted} admissions");
+        assert!(growths >= 5, "slot vector grew {growths} times");
+        assert!(
+            compactions > 20,
+            "slot vector compacted {compactions} times"
+        );
+        assert_slot_invariants(&sketch);
+        assert_eq!(sketch.hist, model.hist);
+        assert_eq!(sketch.finalize(), model.finalize());
     }
 
     #[test]
@@ -1070,7 +1408,7 @@ mod tests {
         let mut sketch = ShardsSketch::fixed_size(1_024);
         sketch.update(trace.as_slice());
         assert!(sketch.table.len() <= 1_024);
-        assert!(sketch.tree.len() <= 1_024);
+        assert!(sketch.slots.live as usize <= 1_024);
         assert!(sketch.heap.len() <= 1_024);
         let m = sketch.metrics();
         assert!(m.evictions > 0, "footprint must overflow s_max");
@@ -1136,11 +1474,48 @@ mod tests {
             prop_assert_eq!(a.hist.clone(), whole.hist.clone());
             prop_assert_eq!(a.total_refs, whole.total_refs);
             prop_assert_eq!(a.sampled_refs, whole.sampled_refs);
-            let mut a_tbl: Vec<_> = a.table.iter().map(|(k, v)| (*k, *v)).collect();
-            let mut w_tbl: Vec<_> = whole.table.iter().map(|(k, v)| (*k, *v)).collect();
-            a_tbl.sort_unstable_by_key(|(k, _)| *k);
-            w_tbl.sort_unstable_by_key(|(k, _)| *k);
-            prop_assert_eq!(a_tbl, w_tbl);
+            // Slots are positions that depend on when compaction ran, so
+            // compare the live entries in last-touch order instead.
+            prop_assert_eq!(live_in_order(&a), live_in_order(&whole));
+            assert_slot_invariants(&a);
+        }
+
+        #[test]
+        fn shards_matches_the_splay_keyed_update(
+            trace in proptest::collection::vec(
+                prop_oneof![0u64..32, 0u64..4096],
+                1..1500,
+            ),
+            cuts in proptest::collection::vec(0usize..1500, 0..6),
+            config in 0usize..7,
+        ) {
+            let (mut sketch, mut model) = match config {
+                0..=3 => {
+                    let s_max = [1usize, 2, 7, 64][config];
+                    (ShardsSketch::fixed_size(s_max), SplayModel::new(SHARDS_FIXED_SIZE_INITIAL_RATE, Some(s_max)))
+                }
+                _ => {
+                    let rate = [1.0, 0.5, 0.25][config - 4];
+                    (ShardsSketch::fixed_rate(rate), SplayModel::new(rate, None))
+                }
+            };
+            // Feed the sketch in random frames; the model one reference
+            // at a time.
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(trace.len())).collect();
+            cuts.push(0);
+            cuts.push(trace.len());
+            cuts.sort_unstable();
+            for frame in cuts.windows(2) {
+                sketch.update(&trace[frame[0]..frame[1]]);
+            }
+            for &addr in &trace {
+                model.push(addr);
+            }
+            prop_assert_eq!(&sketch.hist, &model.hist);
+            prop_assert_eq!(sketch.finalize(), model.finalize());
+            prop_assert_eq!(sketch.threshold, model.threshold);
+            prop_assert_eq!(sketch.table.len(), model.table.len());
+            assert_slot_invariants(&sketch);
         }
 
         #[test]

@@ -29,8 +29,9 @@ use crate::proto::{
     AcceptPayload, ErrorFrame, Message, MsgKind, MAX_PAYLOAD, STATS_FORMAT_BINARY,
     STATS_FORMAT_JSON, TOKEN_LEN,
 };
-use crate::session::ReplyFormat;
-use parda_core::PardaError;
+use crate::server::ServerConfig;
+use crate::session::{ReplyFormat, SessionConfig};
+use parda_core::{PardaError, SessionAnalysis};
 use parda_hist::ReuseHistogram;
 use parda_obs::ClientRetryMetrics;
 use parda_trace::io::Encoding;
@@ -717,6 +718,25 @@ pub fn submit_file<P: AsRef<Path>>(
 ) -> Result<SubmitReply, PardaError> {
     let trace = parda_trace::io::load_trace(path).map_err(PardaError::from)?;
     submit(addr, trace.as_slice(), opts)
+}
+
+/// The analysis a daemon configured by `scfg` would run for a submission
+/// with `opts`, without sockets or framing: the CONFIG [`submit`] sends,
+/// parsed and resolved exactly as a live session resolves it. Feeding it the
+/// trace and finishing gives the histogram `submit` returns, so it is the
+/// offline baseline that wire overhead is read against.
+///
+/// Errors with the daemon's `[config]` message on a CONFIG it would refuse,
+/// and on tagged submissions (they run the concurrent analyzer instead).
+pub fn offline_session(
+    scfg: &ServerConfig,
+    opts: &SubmitOptions,
+) -> Result<SessionAnalysis, String> {
+    let cfg = SessionConfig::parse(&config_text(opts), scfg.fault.degradation)?;
+    if cfg.tagged {
+        return Err("tagged sessions run the concurrent analyzer".into());
+    }
+    Ok(cfg.analysis(scfg))
 }
 
 fn config_text(opts: &SubmitOptions) -> String {

@@ -35,7 +35,9 @@ pub mod server;
 pub mod session;
 mod shard;
 
-pub use client::{submit, submit_file, submit_tagged, RetryPolicy, SubmitOptions, SubmitReply};
+pub use client::{
+    offline_session, submit, submit_file, submit_tagged, RetryPolicy, SubmitOptions, SubmitReply,
+};
 pub use proto::{ErrorClass, ErrorFrame};
 pub use server::{
     install_signal_shutdown, request_shutdown, reset_shutdown_latch, Server, ServerConfig,

@@ -227,13 +227,15 @@ impl SessionConfig {
         Ok(cfg)
     }
 
-    /// The analysis builder for this session plus whether `finish` should
-    /// scale the cascade rank count to the trace length.
-    fn builder(
-        &self,
-        policy: parda_core::FaultPolicy,
-        default_approx: ApproxMode,
-    ) -> (Analysis, bool) {
+    /// The session analysis a daemon configured by `scfg` runs for this
+    /// (untagged) session: the engine, tree and rank policy resolved from
+    /// CONFIG, the server's fault policy under the session's degradation,
+    /// and the server's default approximation when CONFIG names none.
+    pub(crate) fn analysis(&self, scfg: &ServerConfig) -> SessionAnalysis {
+        let policy = parda_core::FaultPolicy {
+            degradation: self.degradation,
+            ..scfg.fault.clone()
+        };
         let (tree, mode, auto_ranks) = match self.engine {
             SessionEngine::Auto => (
                 self.tree.unwrap_or(parda_tree::TreeKind::Vector),
@@ -260,11 +262,11 @@ impl SessionConfig {
             .bound(self.bound)
             .stats(true)
             .fault_policy(policy)
-            .approx(self.approx.unwrap_or(default_approx));
+            .approx(self.approx.unwrap_or(scfg.default_approx));
         if let Some(ranks) = self.ranks {
             b = b.ranks(ranks);
         }
-        (b, auto_ranks)
+        b.session().auto_ranks(auto_ranks)
     }
 }
 
@@ -702,12 +704,7 @@ impl Session {
         if cfg.tagged {
             self.tagged_trace = Some(ThreadedTrace::new());
         } else {
-            let policy = parda_core::FaultPolicy {
-                degradation: cfg.degradation,
-                ..host.scfg.fault.clone()
-            };
-            let (builder, auto_ranks) = cfg.builder(policy, host.scfg.default_approx);
-            self.driver = Some(builder.session().auto_ranks(auto_ranks));
+            self.driver = Some(cfg.analysis(host.scfg));
         }
         self.budget = host.scfg.max_session_bytes;
         self.cfg = Some(cfg);

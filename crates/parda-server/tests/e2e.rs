@@ -636,6 +636,46 @@ fn server_default_approx_applies_only_when_the_client_is_silent() {
 }
 
 #[test]
+fn offline_session_reproduces_the_daemon_reply() {
+    // The offline baseline resolves CONFIG as the daemon does, the server's
+    // default approximation included, so it reproduces each reply.
+    let scfg = ServerConfig {
+        max_sessions: 4,
+        idle_timeout: Some(Duration::from_secs(10)),
+        default_approx: parda_core::ApproxMode::ShardsFixedRate { rate: 0.25 },
+        ..ServerConfig::default()
+    };
+    let (addr, stop, join) = private_server(scfg.clone());
+    let trace = zipfish(31, 40_000);
+    let configs: [&[(&str, &str)]; 4] = [
+        &[],
+        &[("approx", "exact")],
+        &[("approx", "shards-smax:64")],
+        &[("approx", "exact"), ("tree", "splay"), ("ranks", "3")],
+    ];
+    for config in configs {
+        let opts = SubmitOptions {
+            config: config
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            ..SubmitOptions::default()
+        };
+        let reply = submit(&addr, &trace, &opts).unwrap();
+        let mut session = parda_server::offline_session(&scfg, &opts).unwrap();
+        session.feed(&trace);
+        assert_eq!(session.finish().unwrap().0, reply.histogram, "{config:?}");
+    }
+    let bad = SubmitOptions {
+        config: vec![("tree".into(), "nope".into())],
+        ..SubmitOptions::default()
+    };
+    assert!(parda_server::offline_session(&scfg, &bad).is_err());
+    stop.shutdown();
+    assert_eq!(join.join().unwrap().sessions_completed, 4);
+}
+
+#[test]
 fn tagged_session_partitions_like_the_offline_analyzer() {
     use parda_core::concurrent::{
         analyze_concurrent, interleave_threads, recommend_partition, InterleaveModel,
